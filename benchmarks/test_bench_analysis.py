@@ -1,9 +1,10 @@
-"""Benchmark of the memoized columnar frames against the naive loops.
+"""Benchmark of the memoized columnar frames against the per-object oracles.
 
 Runs the *entire* figure suite (16 paper figures, 3 extensions, headline
 report) three ways on the shared benchmark dataset:
 
-- naive: frames disabled, the original per-object loops;
+- naive: every analysis on its per-object oracle (``tests/oracles``,
+  run from the repository root);
 - frames cold: first run on a fresh :class:`DatasetFrames` (pays the
   column/table/embedding build);
 - frames warm: second run on the same frames (result-cache hits).
@@ -24,7 +25,8 @@ from conftest import record_analysis
 from repro.analysis.report import format_report, headline_report
 from repro.collection.dataset import MigrationDataset
 from repro.experiments.registry import run_all
-from repro.frames import frames_disabled, invalidate
+from repro.frames import invalidate
+from tests.oracles import oracle_scope
 
 #: Full-suite speedup the frames must deliver (acceptance gate is 2x at
 #: CI scale; at the default 0.01 scale the measured ratio is ~3x+).
@@ -41,7 +43,7 @@ def _run_suite(dataset: MigrationDataset) -> tuple[str, float]:
 
 
 def test_bench_analysis_suite(bench_dataset):
-    with frames_disabled():
+    with oracle_scope():
         naive_text, naive_seconds = _run_suite(bench_dataset)
 
     invalidate(bench_dataset)

@@ -21,7 +21,7 @@ Extensions beyond the paper:
 - :mod:`repro.analysis.moderation` -- per-instance moderation load
 - :mod:`repro.analysis.bootstrap`  -- confidence intervals for per-user means
 - :mod:`repro.analysis.sensitivity` -- threshold-robustness sweeps
-- :mod:`repro.analysis.network_structure` -- networkx view of the ego networks
+- :mod:`repro.analysis.network_structure` -- structure of the ego networks
 """
 
 from repro.analysis import (

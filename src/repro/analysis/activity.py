@@ -12,7 +12,7 @@ from functools import cached_property
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, ordinal_counts, resolve_frames
+from repro.frames import frames_of, ordinal_counts
 
 
 @dataclass(frozen=True)
@@ -39,35 +39,12 @@ class DailyVolumeResult:
         return self._status_index.get(day, 0)
 
 
-def daily_volume(
-    dataset: MigrationDataset, frames=AUTO
-) -> DailyVolumeResult:
+def daily_volume(dataset: MigrationDataset) -> DailyVolumeResult:
     """Daily tweet/status volumes over the crawled timelines."""
     if not dataset.twitter_timelines and not dataset.mastodon_timelines:
         raise AnalysisError("no timelines in dataset")
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        return fr.result(("daily_volume",), lambda: _daily_volume_frames(fr))
-    tweet_days: dict[_dt.date, int] = {}
-    status_days: dict[_dt.date, int] = {}
-    total_tweets = 0
-    total_statuses = 0
-    for tweets in dataset.twitter_timelines.values():
-        for tweet in tweets:
-            tweet_days[tweet.created_date] = tweet_days.get(tweet.created_date, 0) + 1
-            total_tweets += 1
-    for statuses in dataset.mastodon_timelines.values():
-        for status in statuses:
-            status_days[status.created_date] = (
-                status_days.get(status.created_date, 0) + 1
-            )
-            total_statuses += 1
-    return DailyVolumeResult(
-        tweets_per_day=sorted(tweet_days.items()),
-        statuses_per_day=sorted(status_days.items()),
-        total_tweets=total_tweets,
-        total_statuses=total_statuses,
-    )
+    fr = frames_of(dataset)
+    return fr.result(("daily_volume",), lambda: _daily_volume_frames(fr))
 
 
 def _daily_volume_frames(fr) -> DailyVolumeResult:
@@ -90,23 +67,14 @@ class CollectedTweetVolumeResult:
     peak_day: _dt.date
 
 
-def collected_tweet_volume(
-    dataset: MigrationDataset, frames=AUTO
-) -> CollectedTweetVolumeResult:
+def collected_tweet_volume(dataset: MigrationDataset) -> CollectedTweetVolumeResult:
     """The temporal distribution of the §3.1 corpus (Figure 2)."""
     if not dataset.collected_tweets:
         raise AnalysisError("no collected tweets in dataset")
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        per_day = fr.result(
-            ("collected_per_day",),
-            lambda: ordinal_counts(fr.collected_day_ordinals),
-        )
-    else:
-        days: dict[_dt.date, int] = {}
-        for tweet in dataset.collected_tweets:
-            days[tweet.created_date] = days.get(tweet.created_date, 0) + 1
-        per_day = sorted(days.items())
+    fr = frames_of(dataset)
+    per_day = fr.result(
+        ("collected_per_day",), lambda: ordinal_counts(fr.collected_day_ordinals)
+    )
     peak = max(per_day, key=lambda kv: kv[1])[0]
     return CollectedTweetVolumeResult(
         per_day=per_day, total=len(dataset.collected_tweets), peak_day=peak

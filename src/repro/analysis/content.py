@@ -19,8 +19,8 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
-from repro.nlp.embeddings import HashingSentenceEncoder, max_similarities
+from repro.frames import frames_of
+from repro.nlp.embeddings import max_similarities
 from repro.util.stats import Ecdf, percent
 
 SIMILARITY_THRESHOLD = 0.7
@@ -39,54 +39,23 @@ class ContentSimilarityResult:
 
 
 def content_similarity(
-    dataset: MigrationDataset,
-    threshold: float = SIMILARITY_THRESHOLD,
-    encoder: HashingSentenceEncoder | None = None,
-    frames=AUTO,
+    dataset: MigrationDataset, threshold: float = SIMILARITY_THRESHOLD
 ) -> ContentSimilarityResult:
     """The Figure 14 analysis over users crawled on both platforms."""
     if not 0.0 < threshold < 1.0:
         raise AnalysisError(f"threshold must be in (0, 1), got {threshold}")
-    # A custom encoder invalidates the frames' cached embedding matrices.
-    fr = resolve_frames(dataset, frames) if encoder is None else None
-    if fr is not None:
-        return fr.result(
-            ("content_similarity", threshold),
-            lambda: _content_similarity_frames(fr, threshold),
-        )
-    encoder = encoder if encoder is not None else HashingSentenceEncoder()
-    identical_fracs: list[float] = []
-    similar_fracs: list[float] = []
-    all_different = 0
-    for uid, statuses in dataset.mastodon_timelines.items():
-        tweets = dataset.twitter_timelines.get(uid)
-        if not tweets or not statuses:
-            continue
-        status_texts = [s.text for s in statuses if not s.is_boost]
-        if not status_texts:
-            continue
-        tweet_texts = [t.text for t in tweets]
-        tweet_set = set(tweet_texts)
-        identical = sum(1 for text in status_texts if text in tweet_set)
-        status_vecs = encoder.encode_batch(status_texts)
-        tweet_vecs = encoder.encode_batch(tweet_texts)
-        sims = max_similarities(status_vecs, tweet_vecs)
-        similar = int(np.count_nonzero(sims > threshold))
-        n = len(status_texts)
-        identical_fracs.append(identical / n)
-        similar_fracs.append(similar / n)
-        if similar == 0 and identical == 0:
-            all_different += 1
-    if not identical_fracs:
-        raise AnalysisError("no users with both timelines crawled")
-    return _build_result(identical_fracs, similar_fracs, all_different)
+    fr = frames_of(dataset)
+    return fr.result(
+        ("content_similarity", threshold),
+        lambda: _content_similarity_frames(fr, threshold),
+    )
 
 
 def _content_similarity_frames(fr, threshold: float) -> ContentSimilarityResult:
-    """Frames path: slice per-user rows out of the shared embedding matrices.
+    """Slice per-user rows out of the shared embedding matrices.
 
     Exactness notes: a contiguous row slice of the C-contiguous corpus
-    matrix matmuls bit-identically to the naive per-user matrix, and a
+    matrix matmuls bit-identically to a per-user ``encode_batch`` matrix, and a
     fancy-indexed copy (the non-boost status rows) likewise; the per-row
     vectors themselves equal ``encode(text)`` by ``encode_tokenized``'s
     contract.

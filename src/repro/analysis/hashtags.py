@@ -13,8 +13,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
-from repro.util.text import normalize_hashtag
+from repro.frames import frames_of
 
 
 @dataclass(frozen=True)
@@ -51,33 +50,23 @@ def _tag_counts(table) -> dict[str, int]:
     return {tag: int(counts[i]) for i, tag in enumerate(table.tags) if counts[i]}
 
 
-def top_hashtags(
-    dataset: MigrationDataset, k: int = 30, frames=AUTO
-) -> HashtagsResult:
+def top_hashtags(dataset: MigrationDataset, k: int = 30) -> HashtagsResult:
     """Joint top-k hashtags by total frequency over both crawled corpora."""
     if not dataset.twitter_timelines and not dataset.mastodon_timelines:
         raise AnalysisError("no timelines in dataset")
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        twitter = fr.result(
-            ("tag_counts", "twitter"), lambda: _tag_counts(fr.tweet_table)
-        )
-        mastodon = fr.result(
-            ("tag_counts", "mastodon"), lambda: _tag_counts(fr.status_table)
-        )
-    else:
-        twitter = {}
-        mastodon = {}
-        for tweets in dataset.twitter_timelines.values():
-            for tweet in tweets:
-                for tag in tweet.hashtags:
-                    key = normalize_hashtag(tag)
-                    twitter[key] = twitter.get(key, 0) + 1
-        for statuses in dataset.mastodon_timelines.values():
-            for status in statuses:
-                for tag in status.hashtags:
-                    key = normalize_hashtag(tag)
-                    mastodon[key] = mastodon.get(key, 0) + 1
+    fr = frames_of(dataset)
+    twitter = fr.result(
+        ("tag_counts", "twitter"), lambda: _tag_counts(fr.tweet_table)
+    )
+    mastodon = fr.result(
+        ("tag_counts", "mastodon"), lambda: _tag_counts(fr.status_table)
+    )
+    return _build_result(twitter, mastodon, k)
+
+
+def _build_result(
+    twitter: dict[str, int], mastodon: dict[str, int], k: int
+) -> HashtagsResult:
     totals = {
         tag: twitter.get(tag, 0) + mastodon.get(tag, 0)
         for tag in set(twitter) | set(mastodon)

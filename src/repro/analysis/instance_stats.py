@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 from repro.util.clock import SIM_END, TAKEOVER_DATE
 from repro.util.stats import Ecdf, percent
 
@@ -60,22 +60,9 @@ class InstanceStatsResult:
 
 
 def _cohort(
-    dataset: MigrationDataset, takeover: _dt.date, crawl_date: _dt.date, min_age: int
-) -> list[int]:
-    cohort = []
-    for uid in dataset.matched:
-        join = dataset.mastodon_join_date(uid)
-        if join is None:
-            continue
-        if join >= takeover and (crawl_date - join).days >= min_age:
-            cohort.append(uid)
-    return cohort
-
-
-def _cohort_frames(
     fr, takeover: _dt.date, crawl_date: _dt.date, min_age: int
 ) -> list[int]:
-    """Integer-ordinal twin of :func:`_cohort` over the profile columns."""
+    """Post-takeover joiners whose account is ``min_age`` days old at the crawl."""
     table = fr.profile_table
     takeover_ord = takeover.toordinal()
     crawl_ord = crawl_date.toordinal()
@@ -95,39 +82,62 @@ def instance_stats(
     takeover: _dt.date = TAKEOVER_DATE,
     crawl_date: _dt.date = DEFAULT_ANALYSIS_DATE,
     min_account_age_days: int = 30,
-    frames=AUTO,
 ) -> InstanceStatsResult:
     """The full Figure 6 analysis."""
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        return fr.result(
-            (
-                "instance_stats",
-                buckets,
-                takeover,
-                crawl_date,
-                min_account_age_days,
-            ),
-            lambda: _instance_stats_impl(
-                dataset, buckets, takeover, crawl_date, min_account_age_days, fr
-            ),
-        )
-    return _instance_stats_impl(
-        dataset, buckets, takeover, crawl_date, min_account_age_days, None
+    fr = frames_of(dataset)
+    return fr.result(
+        ("instance_stats", buckets, takeover, crawl_date, min_account_age_days),
+        lambda: _instance_stats_frames(
+            fr, buckets, takeover, crawl_date, min_account_age_days
+        ),
     )
 
 
-def _instance_stats_impl(
-    dataset: MigrationDataset,
+def _instance_stats_frames(
+    fr,
     buckets: int,
     takeover: _dt.date,
     crawl_date: _dt.date,
     min_account_age_days: int,
-    fr,
 ) -> InstanceStatsResult:
-    populations = (
-        fr.instance_populations if fr is not None else dataset.instance_populations()
+    table = fr.profile_table
+    cohort = _cohort(fr, takeover, crawl_date, min_account_age_days)
+    domains = [
+        table.domains[table.matched_domain_ids[table.matched_row[uid]]]
+        for uid in cohort
+    ]
+    activity: dict[int, tuple[int, int, int]] = {}
+    for uid in cohort:
+        row = table.matched_row[uid]
+        if table.has_account[row]:
+            activity[uid] = (
+                int(table.followers[row]),
+                int(table.following[row]),
+                int(table.statuses[row]),
+            )
+    return _build_stats(
+        fr.instance_populations,
+        cohort,
+        domains,
+        activity,
+        len(fr.dataset.matched),
+        buckets,
     )
+
+
+def _build_stats(
+    populations: dict[str, int],
+    cohort: list[int],
+    domains: list[str],
+    activity: dict[int, tuple[int, int, int]],
+    matched_count: int,
+    buckets: int,
+) -> InstanceStatsResult:
+    """Figure 6 from the instance sizes and the cohort's activity.
+
+    ``domains`` is each cohort member's instance; ``activity`` maps the
+    members with an account record to (followers, following, statuses).
+    """
     if not populations:
         raise AnalysisError("no instances in dataset")
     sizes = np.array(sorted(populations.values()))
@@ -135,45 +145,24 @@ def _instance_stats_impl(
     for size in populations.values():
         histogram[size] = histogram.get(size, 0) + 1
     single_share = percent(histogram.get(1, 0), len(populations))
+    cohort_share = percent(len(cohort), max(1, matched_count))
 
-    if fr is not None:
-        cohort = _cohort_frames(fr, takeover, crawl_date, min_account_age_days)
-    else:
-        cohort = _cohort(dataset, takeover, crawl_date, min_account_age_days)
-    cohort_share = percent(len(cohort), max(1, len(dataset.matched)))
-
-    table = fr.profile_table if fr is not None else None
     edges = _bucket_edges(sizes, buckets)
     bucket_users: list[list[int]] = [[] for _ in edges]
-    for uid in cohort:
-        if table is not None:
-            domain = table.domains[
-                table.matched_domain_ids[table.matched_row[uid]]
-            ]
-        else:
-            domain = dataset.matched[uid].mastodon_domain
+    for uid, domain in zip(cohort, domains):
         size = populations.get(domain, 0)
         bucket_users[_bucket_index(size, edges)].append(uid)
 
     built: list[QuantileBucket] = []
     for (lo, hi), uids in zip(edges, bucket_users):
         followers, followees, statuses = [], [], []
-        if table is not None:
-            for uid in uids:
-                row = table.matched_row[uid]
-                if not table.has_account[row]:
-                    continue
-                followers.append(int(table.followers[row]))
-                followees.append(int(table.following[row]))
-                statuses.append(int(table.statuses[row]))
-        else:
-            for uid in uids:
-                record = dataset.accounts.get(uid)
-                if record is None:
-                    continue
-                followers.append(record.followers)
-                followees.append(record.following)
-                statuses.append(record.statuses)
+        for uid in uids:
+            counts = activity.get(uid)
+            if counts is None:
+                continue
+            followers.append(counts[0])
+            followees.append(counts[1])
+            statuses.append(counts[2])
         n_instances = sum(
             1 for s in populations.values() if lo <= s and (hi is None or s <= hi)
         )

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
-from repro.nlp.toxicity import PerspectiveScorer
+from repro.frames import frames_of
 from repro.util.stats import percent
 
 
@@ -45,47 +44,26 @@ class ModerationResult:
 
 
 def moderation_load(
-    dataset: MigrationDataset,
-    threshold: float = 0.5,
-    small_cutoff: int = 5,
-    scorer: PerspectiveScorer | None = None,
-    frames=AUTO,
+    dataset: MigrationDataset, threshold: float = 0.5, small_cutoff: int = 5
 ) -> ModerationResult:
     """Toxic-status volume per instance (admin's-eye view)."""
     if not dataset.mastodon_timelines:
         raise AnalysisError("no Mastodon timelines in dataset")
-    # A custom scorer invalidates the frames' cached score vector.
-    fr = resolve_frames(dataset, frames) if scorer is None else None
-    if fr is not None:
-        return fr.result(
-            ("moderation_load", threshold, small_cutoff),
-            lambda: _moderation_frames(fr, threshold, small_cutoff),
-        )
-    scorer = scorer if scorer is not None else PerspectiveScorer()
-    per_instance: dict[str, dict[str, int]] = {}
-    for uid, statuses in dataset.mastodon_timelines.items():
-        user = dataset.matched.get(uid)
-        if user is None:
-            continue
-        for status in statuses:
-            domain = status.account_acct.split("@", 1)[1]
-            bucket = per_instance.setdefault(
-                domain, {"users": 0, "statuses": 0, "toxic": 0}
-            )
-            bucket["statuses"] += 1
-            if scorer.score(status.text) > threshold:
-                bucket["toxic"] += 1
-    return _build_result(dataset, per_instance, small_cutoff)
+    fr = frames_of(dataset)
+    return fr.result(
+        ("moderation_load", threshold, small_cutoff),
+        lambda: _moderation_frames(fr, threshold, small_cutoff),
+    )
 
 
 def _moderation_frames(
     fr, threshold: float, small_cutoff: int
 ) -> ModerationResult:
-    """Same walk, but toxicity comes from the cached per-row score vector.
+    """Walk the statuses, reading toxicity from the cached score vector.
 
     The per-status instance attribution (``account_acct``'s domain) is not
     a table column, so the loop still touches the status objects — but the
-    scorer, by far the dominant cost, is replaced by an indexed read of
+    scorer, by far the dominant cost, is an indexed read of
     ``fr.status_toxicity`` (bit-identical to ``scorer.score`` per row).
     """
     dataset = fr.dataset

@@ -1,4 +1,4 @@
-"""Ego-network structure of the migration (networkx extension).
+"""Ego-network structure of the migration (extension).
 
 RQ2 treats migration as social contagion; this extension examines the
 *structure* behind it using the crawled followee sample: the subgraph over
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 from repro.util.stats import percent
 
 
@@ -41,99 +40,18 @@ class NetworkStructureResult:
     largest_component_pct: float
 
 
-def build_sample_graph(dataset: MigrationDataset) -> nx.DiGraph:
-    """The directed graph of the §3.3 followee sample.
-
-    Nodes are Twitter user ids; an edge ``u -> v`` means sampled user ``u``
-    follows ``v``.  Node attribute ``migrated`` marks matched migrants;
-    ``instance`` carries the migrant's (first) instance domain.
-    """
-    if not dataset.followee_sample:
-        raise AnalysisError("no followee sample in dataset")
-    graph = nx.DiGraph()
-    for uid, record in dataset.followee_sample.items():
-        graph.add_node(uid)
-        for followee in record.twitter_followees:
-            graph.add_edge(uid, followee)
-    for node in graph.nodes:
-        user = dataset.matched.get(node)
-        graph.nodes[node]["migrated"] = user is not None
-        graph.nodes[node]["instance"] = (
-            user.mastodon_domain if user is not None else None
-        )
-    return graph
-
-
-def instance_cooccurrence_graph(dataset: MigrationDataset) -> nx.Graph:
-    """Instances linked whenever a sampled edge crosses between them."""
-    sample_graph = build_sample_graph(dataset)
-    graph = nx.Graph()
-    for u, v in sample_graph.edges:
-        iu = sample_graph.nodes[u].get("instance")
-        iv = sample_graph.nodes[v].get("instance")
-        if iu is None or iv is None or iu == iv:
-            continue
-        if graph.has_edge(iu, iv):
-            graph[iu][iv]["weight"] += 1
-        else:
-            graph.add_edge(iu, iv, weight=1)
-    return graph
-
-
-def network_structure(
-    dataset: MigrationDataset, frames=AUTO
-) -> NetworkStructureResult:
+def network_structure(dataset: MigrationDataset) -> NetworkStructureResult:
     """The full structural analysis."""
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        return fr.result(
-            ("network_structure",), lambda: _network_structure_frames(fr)
-        )
-    graph = build_sample_graph(dataset)
-    migrated = {n for n, d in graph.nodes(data=True) if d["migrated"]}
-    edges_into_migrants = sum(1 for __, v in graph.edges if v in migrated)
-    total_edges = graph.number_of_edges()
-    if total_edges == 0:
-        raise AnalysisError("the sampled graph has no edges")
-    baseline = percent(len(migrated), graph.number_of_nodes())
-
-    sampled = set(dataset.followee_sample)
-    inner_edges = [(u, v) for u, v in graph.edges if u in sampled and v in sampled]
-    reciprocated = sum(1 for u, v in inner_edges if graph.has_edge(v, u))
-
-    instance_graph = instance_cooccurrence_graph(dataset)
-
-    sampled_subgraph = graph.subgraph(
-        sampled | {v for u, v in graph.edges if u in sampled and v in migrated}
-    )
-    if sampled_subgraph.number_of_nodes():
-        largest = max(
-            (len(c) for c in nx.weakly_connected_components(sampled_subgraph)),
-            default=0,
-        )
-        largest_pct = percent(largest, sampled_subgraph.number_of_nodes())
-    else:
-        largest_pct = 0.0
-
-    return NetworkStructureResult(
-        nodes=graph.number_of_nodes(),
-        edges=total_edges,
-        migrated_nodes=len(migrated),
-        pct_edges_into_migrants=percent(edges_into_migrants, total_edges),
-        pct_expected_at_random=baseline,
-        reciprocity_pct=percent(reciprocated, len(inner_edges) or 1),
-        instance_graph_nodes=instance_graph.number_of_nodes(),
-        instance_graph_edges=instance_graph.number_of_edges(),
-        largest_component_pct=largest_pct,
-    )
+    fr = frames_of(dataset)
+    return fr.result(("network_structure",), lambda: _network_structure_frames(fr))
 
 
 def _network_structure_frames(fr) -> NetworkStructureResult:
-    """Frames path: the same statistics from flat edge arrays.
+    """The statistics from flat edge arrays.
 
     Everything here is integer counting (unique edges, set membership,
     weakly-connected components via union-find), so agreement with the
-    networkx path is exact by construction — asserted in ``tests/frames/``.
+    networkx reference in ``tests/oracles`` is exact by construction.
     """
     dataset = fr.dataset
     if not dataset.followee_sample:
@@ -141,7 +59,7 @@ def _network_structure_frames(fr) -> NetworkStructureResult:
     table = fr.edge_table
     sampled = set(table.sampled_uids)
     if table.sources.size:
-        # nx.DiGraph.add_edge dedupes repeated followee entries
+        # repeated followee entries count as one edge
         pairs = np.unique(
             np.stack([table.sources, table.targets], axis=1), axis=0
         )

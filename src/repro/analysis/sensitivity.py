@@ -6,8 +6,10 @@ Two of the paper's analyses hinge on a threshold choice:
 - toxicity uses Perspective score > 0.5, noting 0.8 is also used (§6.3).
 
 These sweeps re-run each analysis across the plausible threshold range so a
-reader can see whether the findings are artefacts of the cut-off.  Both
-return plain rows an experiment or notebook can print or plot.
+reader can see whether the findings are artefacts of the cut-off.  Every
+threshold reads the same memoized frames products (embedding matrices,
+toxicity score vectors), so a sweep scores the corpus once.  Both return
+plain rows an experiment or notebook can print or plot.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from repro.analysis.content import content_similarity
 from repro.analysis.toxicity import toxicity_analysis
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.nlp.embeddings import HashingSentenceEncoder
-from repro.nlp.toxicity import PerspectiveScorer
 
 DEFAULT_SIMILARITY_THRESHOLDS = (0.5, 0.6, 0.7, 0.8, 0.9)
 DEFAULT_TOXICITY_THRESHOLDS = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
@@ -48,7 +48,6 @@ class ToxicitySweepRow:
 def similarity_sweep(
     dataset: MigrationDataset,
     thresholds: Sequence[float] = DEFAULT_SIMILARITY_THRESHOLDS,
-    encoder: HashingSentenceEncoder | None = None,
 ) -> list[SimilaritySweepRow]:
     """Figure 14's statistics across similarity thresholds.
 
@@ -57,10 +56,9 @@ def similarity_sweep(
     """
     if not thresholds:
         raise AnalysisError("need at least one threshold")
-    encoder = encoder if encoder is not None else HashingSentenceEncoder()
     rows = []
     for threshold in sorted(thresholds):
-        result = content_similarity(dataset, threshold=threshold, encoder=encoder)
+        result = content_similarity(dataset, threshold=threshold)
         rows.append(
             SimilaritySweepRow(
                 threshold=threshold,
@@ -74,15 +72,13 @@ def similarity_sweep(
 def toxicity_sweep(
     dataset: MigrationDataset,
     thresholds: Sequence[float] = DEFAULT_TOXICITY_THRESHOLDS,
-    scorer: PerspectiveScorer | None = None,
 ) -> list[ToxicitySweepRow]:
     """Figure 16's platform comparison across toxicity thresholds."""
     if not thresholds:
         raise AnalysisError("need at least one threshold")
-    scorer = scorer if scorer is not None else PerspectiveScorer()
     rows = []
     for threshold in sorted(thresholds):
-        result = toxicity_analysis(dataset, threshold=threshold, scorer=scorer)
+        result = toxicity_analysis(dataset, threshold=threshold)
         rows.append(
             ToxicitySweepRow(
                 threshold=threshold,

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 from repro.frames.tables import day_from_ordinal
 from repro.twitter.clients import CROSSPOSTER_NAMES
 from repro.util.clock import TAKEOVER_DATE
@@ -53,34 +53,14 @@ class SourcesResult:
 
 
 def top_sources(
-    dataset: MigrationDataset,
-    k: int = 30,
-    takeover: _dt.date = TAKEOVER_DATE,
-    frames=AUTO,
+    dataset: MigrationDataset, k: int = 30, takeover: _dt.date = TAKEOVER_DATE
 ) -> SourcesResult:
     """Tweets per source before/after the takeover (Figure 12)."""
     if not dataset.twitter_timelines:
         raise AnalysisError("no Twitter timelines in dataset")
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        return fr.result(
-            ("top_sources", k, takeover), lambda: _top_sources_frames(fr, k, takeover)
-        )
-    before: dict[str, int] = {}
-    after: dict[str, int] = {}
-    crossposting_users: set[int] = set()
-    for uid, tweets in dataset.twitter_timelines.items():
-        for tweet in tweets:
-            bucket = before if tweet.created_date < takeover else after
-            bucket[tweet.source] = bucket.get(tweet.source, 0) + 1
-            if tweet.source in CROSSPOSTER_NAMES:
-                crossposting_users.add(uid)
-    # Mastodon-side bridge use also counts as cross-posting adoption.
-    for uid, statuses in dataset.mastodon_timelines.items():
-        if any(s.application in CROSSPOSTER_NAMES for s in statuses):
-            crossposting_users.add(uid)
-    return _build_sources(
-        before, after, len(crossposting_users), len(dataset.matched), k
+    fr = frames_of(dataset)
+    return fr.result(
+        ("top_sources", k, takeover), lambda: _top_sources_frames(fr, k, takeover)
     )
 
 
@@ -163,31 +143,11 @@ class CrossposterDailyResult:
     peak_users: int
 
 
-def crossposter_daily_users(
-    dataset: MigrationDataset, frames=AUTO
-) -> CrossposterDailyResult:
+def crossposter_daily_users(dataset: MigrationDataset) -> CrossposterDailyResult:
     """Daily distinct users posting via a bridge, on either platform."""
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        return fr.result(
-            ("crossposter_daily_users",),
-            lambda: _crossposter_daily_frames(fr),
-        )
-    days: dict[_dt.date, set[int]] = {}
-    for uid, tweets in dataset.twitter_timelines.items():
-        for tweet in tweets:
-            if tweet.source in CROSSPOSTER_NAMES:
-                days.setdefault(tweet.created_date, set()).add(uid)
-    for uid, statuses in dataset.mastodon_timelines.items():
-        for status in statuses:
-            if status.application in CROSSPOSTER_NAMES:
-                days.setdefault(status.created_date, set()).add(uid)
-    if not days:
-        raise AnalysisError("no cross-poster usage in dataset")
-    series = sorted((day, len(users)) for day, users in days.items())
-    peak_day, peak_users = max(series, key=lambda kv: kv[1])
-    return CrossposterDailyResult(
-        users_per_day=series, peak_day=peak_day, peak_users=peak_users
+    fr = frames_of(dataset)
+    return fr.result(
+        ("crossposter_daily_users",), lambda: _crossposter_daily_frames(fr)
     )
 
 

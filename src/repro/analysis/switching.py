@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 from repro.util.clock import TAKEOVER_DATE
 from repro.util.stats import Ecdf, percent
 
@@ -35,39 +35,34 @@ class SwitchMatrixResult:
 
 
 def switch_matrix(
-    dataset: MigrationDataset, takeover: _dt.date = TAKEOVER_DATE, frames=AUTO
+    dataset: MigrationDataset, takeover: _dt.date = TAKEOVER_DATE
 ) -> SwitchMatrixResult:
     """The Figure 9 matrix of first->second instance moves."""
     if not dataset.accounts:
         raise AnalysisError("no account records in dataset")
-    fr = resolve_frames(dataset, frames)
+    table = frames_of(dataset).profile_table
+    takeover_ord = takeover.toordinal()
     matrix: dict[tuple[str, str], int] = {}
     post = 0
     switchers = dataset.switchers()
-    if fr is not None:
-        table = fr.profile_table
-        takeover_ord = takeover.toordinal()
-        for uid in switchers:
-            row = table.acct_row[uid]
-            second_id = int(table.acct_second_domain_ids[row])
-            assert second_id >= 0
-            key = (
-                table.domains[table.acct_first_domain_ids[row]],
-                table.domains[second_id],
-            )
-            matrix[key] = matrix.get(key, 0) + 1
-            second_ord = int(table.acct_second_ordinals[row])
-            if second_ord != -1 and second_ord >= takeover_ord:
-                post += 1
-    else:
-        for uid in switchers:
-            record = dataset.accounts[uid]
-            second = record.second_domain
-            assert second is not None
-            key = (record.first_domain, second)
-            matrix[key] = matrix.get(key, 0) + 1
-            if record.second_created_at is not None and record.second_created_at.date() >= takeover:
-                post += 1
+    for uid in switchers:
+        row = table.acct_row[uid]
+        second_id = int(table.acct_second_domain_ids[row])
+        assert second_id >= 0
+        key = (
+            table.domains[table.acct_first_domain_ids[row]],
+            table.domains[second_id],
+        )
+        matrix[key] = matrix.get(key, 0) + 1
+        second_ord = int(table.acct_second_ordinals[row])
+        if second_ord != -1 and second_ord >= takeover_ord:
+            post += 1
+    return _build_matrix(matrix, post, len(switchers), len(dataset.accounts))
+
+
+def _build_matrix(
+    matrix: dict[tuple[str, str], int], post: int, switchers: int, accounts: int
+) -> SwitchMatrixResult:
     sources: dict[str, int] = {}
     targets: dict[str, int] = {}
     for (src, dst), count in matrix.items():
@@ -75,9 +70,9 @@ def switch_matrix(
         targets[dst] = targets.get(dst, 0) + count
     return SwitchMatrixResult(
         matrix=matrix,
-        switcher_count=len(switchers),
-        pct_switched=percent(len(switchers), len(dataset.accounts)),
-        pct_post_takeover=percent(post, max(1, len(switchers))),
+        switcher_count=switchers,
+        pct_switched=percent(switchers, accounts),
+        pct_post_takeover=percent(post, max(1, switchers)),
         top_sources=sorted(sources.items(), key=lambda kv: -kv[1])[:10],
         top_targets=sorted(targets.items(), key=lambda kv: -kv[1])[:10],
     )
@@ -96,26 +91,12 @@ class SwitcherInfluenceResult:
     switcher_sample: int
 
 
-def _followee_instance_and_date(
-    dataset: MigrationDataset, followee_id: int, domain: str
-) -> _dt.date | None:
-    """When (if ever) ``followee_id`` joined ``domain``.
+def _join_ordinal(table, followee_id: int, domain_id: int) -> int | None:
+    """Day ordinal when ``followee_id`` joined ``domain_id``, or None.
 
     The followee may be on that instance as their first choice or through a
-    switch of their own; returns None when they were never there.
+    switch of their own.
     """
-    record = dataset.accounts.get(followee_id)
-    if record is None:
-        return None
-    if record.first_domain == domain:
-        return record.first_created_at.date()
-    if record.second_domain == domain and record.second_created_at is not None:
-        return record.second_created_at.date()
-    return None
-
-
-def _join_ordinal(table, followee_id: int, domain_id: int) -> int | None:
-    """Integer-id twin of :func:`_followee_instance_and_date` (ordinals)."""
     row = table.acct_row.get(followee_id)
     if row is None:
         return None
@@ -127,45 +108,12 @@ def _join_ordinal(table, followee_id: int, domain_id: int) -> int | None:
     return None
 
 
-def switcher_influence(
-    dataset: MigrationDataset, frames=AUTO
-) -> SwitcherInfluenceResult:
+def switcher_influence(dataset: MigrationDataset) -> SwitcherInfluenceResult:
     """The Figure 10 analysis over sampled switchers."""
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        return fr.result(
-            ("switcher_influence",), lambda: _switcher_influence_frames(fr)
-        )
-    frac_first, frac_second, frac_before = [], [], []
-    for uid in dataset.switchers():
-        record = dataset.accounts[uid]
-        sample = dataset.followee_sample.get(uid)
-        if sample is None or not sample.twitter_followees:
-            continue
-        second = record.second_domain
-        assert second is not None
-        switch_date = (
-            record.second_created_at.date() if record.second_created_at else None
-        )
-        migrated = [f for f in sample.twitter_followees if f in dataset.matched]
-        if not migrated:
-            continue
-        on_first, on_second, before = 0, 0, 0
-        for followee in migrated:
-            if _followee_instance_and_date(dataset, followee, record.first_domain):
-                on_first += 1
-            joined_second = _followee_instance_and_date(dataset, followee, second)
-            if joined_second is not None:
-                on_second += 1
-                if switch_date is not None and joined_second < switch_date:
-                    before += 1
-        frac_first.append(on_first / len(migrated))
-        frac_second.append(on_second / len(migrated))
-        if on_second:
-            frac_before.append(before / on_second)
-    if not frac_first:
-        raise AnalysisError("no switchers with followee data")
-    return _build_influence(frac_first, frac_second, frac_before)
+    fr = frames_of(dataset)
+    return fr.result(
+        ("switcher_influence",), lambda: _switcher_influence_frames(fr)
+    )
 
 
 def _switcher_influence_frames(fr) -> SwitcherInfluenceResult:

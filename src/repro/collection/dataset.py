@@ -183,9 +183,6 @@ class MigrationDataset:
     def matched_users(self) -> list[MatchedUser]:
         return [self.matched[uid] for uid in sorted(self.matched)]
 
-    def account_of(self, user_id: int) -> MastodonAccountRecord | None:
-        return self.accounts.get(user_id)
-
     def instance_populations(self) -> dict[str, int]:
         """Matched migrants per (first) instance domain."""
         counts: dict[str, int] = {}

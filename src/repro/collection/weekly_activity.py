@@ -41,18 +41,3 @@ class WeeklyActivityCrawler:
             else:
                 activity[domain] = rows
         return activity
-
-
-def aggregate_weeks(activity: dict[str, list[dict]]) -> list[dict]:
-    """Sum per-instance rows into one row per week, sorted by week label."""
-    totals: dict[str, dict] = {}
-    for rows in activity.values():
-        for row in rows:
-            week = row["week"]
-            bucket = totals.setdefault(
-                week, {"week": week, "statuses": 0, "logins": 0, "registrations": 0}
-            )
-            bucket["statuses"] += row["statuses"]
-            bucket["logins"] += row["logins"]
-            bucket["registrations"] += row["registrations"]
-    return [totals[w] for w in sorted(totals)]

@@ -2,10 +2,9 @@
 
 Every error raised by this package derives from :class:`ReproError`, so a
 caller can catch everything with a single ``except`` clause.  The subsystem
-branches (:class:`TwitterError`, :class:`FediverseError`) live here too and
-are re-exported by :mod:`repro.twitter.errors` and
-:mod:`repro.fediverse.errors` for compatibility — new code should import
-from :mod:`repro.errors` alone.
+branches (:class:`TwitterError`, :class:`FediverseError`) live here too;
+the :mod:`repro.twitter` and :mod:`repro.fediverse` packages re-export their
+own branch.
 
 Two attributes unify the *retry* surface across subsystems:
 

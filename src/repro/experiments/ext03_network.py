@@ -1,8 +1,8 @@
 """Extension X3: structure of the migration ego networks.
 
-Builds the followee-sample graph with networkx and reports its structural
-statistics: how strongly edges point into the migrant set, reciprocity
-among sampled migrants, and the instance co-occurrence graph.
+Builds the followee-sample graph from the edge columns and reports its
+structural statistics: how strongly edges point into the migrant set,
+reciprocity among sampled migrants, and the instance co-occurrence graph.
 """
 
 from __future__ import annotations

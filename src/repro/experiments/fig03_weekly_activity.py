@@ -7,10 +7,9 @@ Paper shape: all three metrics jump sharply in the week of the takeover
 from __future__ import annotations
 
 from repro.collection.dataset import MigrationDataset
-from repro.collection.weekly_activity import aggregate_weeks
 from repro.errors import AnalysisError
 from repro.experiments.registry import ExperimentResult
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 
 EXP_ID = "F3"
 TITLE = "Weekly activity on Mastodon instances"
@@ -19,14 +18,14 @@ TITLE = "Weekly activity on Mastodon instances"
 TAKEOVER_WEEK = "2022-W43"
 
 
-def run(dataset: MigrationDataset, frames=AUTO) -> ExperimentResult:
+def run(dataset: MigrationDataset) -> ExperimentResult:
     if not dataset.weekly_activity:
         raise AnalysisError("dataset has no weekly activity")
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        weeks = fr.weekly_aggregate
-    else:
-        weeks = aggregate_weeks(dataset.weekly_activity)
+    return summarize(frames_of(dataset).weekly_aggregate)
+
+
+def summarize(weeks: list[dict]) -> ExperimentResult:
+    """Figure 3 from per-week totals sorted by week label."""
     window = [w for w in weeks if "2022-W39" <= w["week"] <= "2022-W48"]
     rows = [
         (w["week"], w["registrations"], w["logins"], w["statuses"]) for w in window

@@ -123,12 +123,7 @@ def run_all(
     All experiments share the dataset's memoized analysis frames
     (:mod:`repro.frames`): the first figure that needs a column table or a
     derived product (embeddings, toxicity scores, ...) builds it, every
-    later one reuses it.  The warm-up here just pins the shared instance so
-    the sharing survives callers that copy the result list around.
+    later one reuses it.
     """
-    from repro.frames import frames_enabled, frames_of
-
-    if frames_enabled():
-        frames_of(dataset)
     registry = _load_registry(include_extensions)
     return [registry[eid](dataset) for eid in all_experiment_ids(include_extensions)]

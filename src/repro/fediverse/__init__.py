@@ -16,6 +16,12 @@ the paper:
   with downtime injection, plus an ``instances.social``-style directory.
 """
 
+from repro.errors import (
+    AccountNotFoundError,
+    FediverseError,
+    InstanceDownError,
+    InstanceNotFoundError,
+)
 from repro.fediverse.activitypub import (
     Accept,
     Activity,
@@ -27,12 +33,6 @@ from repro.fediverse.activitypub import (
 )
 from repro.fediverse.api import MastodonClient
 from repro.fediverse.directory import InstanceDirectory
-from repro.fediverse.errors import (
-    AccountNotFoundError,
-    FediverseError,
-    InstanceDownError,
-    InstanceNotFoundError,
-)
 from repro.fediverse.instance import MastodonInstance
 from repro.fediverse.models import Account, InstanceInfo, Status
 from repro.fediverse.network import FediverseNetwork

@@ -12,8 +12,8 @@ import datetime as _dt
 import zlib
 from collections.abc import Iterator
 
+from repro.errors import AccountNotFoundError, DuplicateAccountError
 from repro.fediverse.activitypub import make_acct, parse_acct
-from repro.fediverse.errors import AccountNotFoundError, DuplicateAccountError
 from repro.fediverse.models import Account, InstanceInfo, Status, WeeklyActivity
 from repro.fediverse.policy import ContentPolicy
 from repro.util.clock import iso_week

@@ -1,23 +1,14 @@
 """Columnar analysis frames: the shared substrate of the figure suite.
 
-Every analysis in :mod:`repro.analysis` accepts ``frames=AUTO`` and, by
-default, runs on a lazily-built, memoized columnar view of the dataset
-(:class:`DatasetFrames`) instead of re-iterating nested Python objects —
-same results, bit for bit, built once and shared across all experiments
-and the headline report.  Pass ``frames=None`` (or run inside
-:func:`frames_disabled`) to force the naive per-object loops.
+Every frames-backed analysis in :mod:`repro.analysis` runs on a
+lazily-built, memoized columnar view of the dataset (:class:`DatasetFrames`)
+instead of re-iterating nested Python objects — built once and shared
+across all experiments and the headline report.  The per-object reference
+implementations live with the tests (``tests/oracles``), which pin the
+results bit for bit.
 """
 
-from repro.frames.core import (
-    AUTO,
-    DatasetFrames,
-    frames_disabled,
-    frames_enabled,
-    frames_of,
-    invalidate,
-    resolve_frames,
-    set_frames_enabled,
-)
+from repro.frames.core import DatasetFrames, frames_of, invalidate
 from repro.frames.tables import (
     EdgeTable,
     Interner,
@@ -32,7 +23,6 @@ from repro.frames.tables import (
 )
 
 __all__ = [
-    "AUTO",
     "DatasetFrames",
     "EdgeTable",
     "Interner",
@@ -43,11 +33,7 @@ __all__ = [
     "build_profile_table",
     "build_timeline_table",
     "build_token_table",
-    "frames_disabled",
-    "frames_enabled",
     "frames_of",
     "invalidate",
     "ordinal_counts",
-    "resolve_frames",
-    "set_frames_enabled",
 ]

@@ -11,19 +11,16 @@ Memoization contract (see DESIGN.md §5):
 - Frames are cached on the dataset instance itself (``dataset._frames``)
   and assume the dataset is **not mutated** after the first analysis runs;
   mutate-then-analyze callers must call :func:`invalidate` in between.
-- Derived products are keyed by their *default* operators only: analyses
-  called with a custom encoder/scorer bypass the frames and take the naive
-  per-object path, as does ``frames=None`` (the escape hatch the
-  equivalence tests use) or a :func:`frames_disabled` scope.
+- Derived products use the default operators (``PerspectiveScorer``,
+  ``HashingSentenceEncoder``); there is no other analysis path.
 - Exactness is part of the contract: every frames-backed analysis returns
-  byte-identical results to the naive path (same floats, same ordering),
-  enforced by ``tests/frames/``.
+  byte-identical results to its per-object oracle in ``tests/oracles``
+  (same floats, same ordering).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -113,50 +110,6 @@ def result_deps(key: tuple) -> frozenset[str] | None:
     return RESULT_DEPS.get(key[:1])
 
 
-class _Auto:
-    """Sentinel: resolve frames from the dataset (or run naive if disabled)."""
-
-    _instance: "_Auto | None" = None
-
-    def __new__(cls) -> "_Auto":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "AUTO"
-
-
-#: Default for every analysis ``frames=`` parameter: use the dataset's
-#: memoized frames unless frames are globally disabled.  Pass ``None`` to
-#: force the naive per-object loops, or an explicit :class:`DatasetFrames`.
-AUTO = _Auto()
-
-_enabled = True
-
-
-def set_frames_enabled(on: bool) -> bool:
-    """Globally enable/disable the frames fast paths; returns the old value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(on)
-    return previous
-
-
-def frames_enabled() -> bool:
-    return _enabled
-
-
-@contextmanager
-def frames_disabled() -> Iterator[None]:
-    """Scope in which ``frames=AUTO`` resolves to the naive path."""
-    previous = set_frames_enabled(False)
-    try:
-        yield
-    finally:
-        set_frames_enabled(previous)
-
-
 class DatasetFrames:
     """Columnar tables and derived products of one ``MigrationDataset``."""
 
@@ -169,7 +122,6 @@ class DatasetFrames:
         self._result_hits = 0
         self._result_misses = 0
         self._invalidations = 0
-        # Default operators; analyses invoked with custom ones skip frames.
         self._scorer = PerspectiveScorer()
         self._encoder = HashingSentenceEncoder()
 
@@ -396,10 +348,6 @@ class DatasetFrames:
             )
 
         return self._product("status_embeddings", build)
-
-    def build_stats(self) -> dict[str, bool]:
-        """Which products have been materialized (for tests/telemetry)."""
-        return {name: True for name in sorted(self._products)}
 
     def cache_stats(self) -> dict:
         """Result-cache accounting (rendered by serving ``/metrics`` and bench)."""
@@ -648,16 +596,3 @@ def frames_of(dataset) -> DatasetFrames:
 def invalidate(dataset) -> None:
     """Drop the dataset's cached frames (call after mutating it)."""
     dataset.__dict__.pop("_frames", None)
-
-
-def resolve_frames(dataset, frames) -> DatasetFrames | None:
-    """Resolve an analysis ``frames=`` argument.
-
-    ``AUTO`` → the dataset's memoized frames (or ``None`` when globally
-    disabled); ``None`` → naive path; a ``DatasetFrames`` → itself.
-    """
-    if frames is None:
-        return None
-    if isinstance(frames, _Auto):
-        return frames_of(dataset) if _enabled else None
-    return frames

@@ -3,9 +3,9 @@
 Each table flattens one nested-object corner of the dataset into numpy
 columns plus small Python-side vocabularies (string interning).  Builders
 preserve **iteration order** exactly: per-user post rows appear in the
-order the naive analysis loops visit them (dict insertion order, list
-order within a timeline), so any frames-backed analysis that walks a
-table reproduces the naive path's accumulation order bit for bit.
+order a per-object walk visits them (dict insertion order, list order
+within a timeline), so any frames-backed analysis that walks a table
+reproduces its per-object oracle's accumulation order bit for bit.
 
 Tables carry data only — no analysis logic.  The derived products
 (per-day volume vectors, embedding matrices, toxicity score vectors) live
@@ -68,7 +68,7 @@ class TimelineTable:
     ``source`` / status ``application``); ``flags`` holds ``is_retweet``
     / ``is_boost``.  Hashtag occurrences are a postings list — one
     ``(tag_rows[j], tag_ids[j])`` pair per occurrence, duplicates kept,
-    exactly as the naive per-post loops count them.
+    exactly as a per-post loop counts them.
     """
 
     uids: list[int]
@@ -174,10 +174,6 @@ class RowMap:
     runs: list[tuple[int, int, int]]
     fresh: np.ndarray  # int64
     row_count: int
-
-    @property
-    def copied_count(self) -> int:
-        return sum(count for _, _, count in self.runs)
 
 
 def rebase_timeline_table(
@@ -590,7 +586,7 @@ def iso_day_strings(day_ordinals: np.ndarray) -> list[str]:
 def ordinal_counts(day_ordinals: np.ndarray) -> list[tuple[_dt.date, int]]:
     """Sorted ``(date, count)`` pairs over a day-ordinal column.
 
-    Matches ``sorted(Counter(dates).items())`` from the naive loops: counts
+    Matches ``sorted(Counter(dates).items())`` over the posts: counts
     are exact integers and days with zero posts are omitted.
     """
     if day_ordinals.size == 0:

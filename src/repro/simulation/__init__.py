@@ -10,8 +10,8 @@ Entry point::
     from repro.simulation import SimConfig, build_world
     world = build_world(SimConfig(seed=7, scale=0.01))
 
-``build_world(seed=7, scale=0.01)`` (legacy keyword overrides) still works
-behind a deprecation shim and produces a byte-identical world.
+Every behavioural knob is a :class:`SimConfig` field; ``build_world`` takes
+only the config (plus the worker settings of the sharded planner).
 """
 
 from repro.simulation.config import SimConfig, WorldConfig, field_docs

@@ -12,7 +12,6 @@ import datetime as _dt
 
 import numpy as np
 
-from repro.nlp.generator import PostGenerator
 from repro.nlp.vocabulary import TOPICS, Vocabulary
 from repro.simulation.population import SimUser
 from repro.util.clock import TAKEOVER_DATE
@@ -107,40 +106,3 @@ def chatter_volume_multiplier(day: _dt.date) -> float:
     if day < TAKEOVER_DATE - _dt.timedelta(days=1):
         return 0.05
     return 1.0
-
-
-def make_post(
-    generator: PostGenerator,
-    rng: np.random.Generator,
-    agent: SimUser,
-    platform: str,
-    day_mixture: np.ndarray,
-    day_cdf: np.ndarray | None = None,
-) -> str:
-    """Generate one post's text for ``agent`` on ``platform``.
-
-    Mastodon posts carry hashtags more often: with no algorithmic feed,
-    tags are the platform's discoverability mechanism.
-
-    ``day_cdf`` (``build_cdf(day_mixture)``) lets callers that reuse a
-    mixture across a day's posts skip rebuilding the cdf per post; the
-    topic draw itself is unchanged.
-
-    This is the reference draw sequence — topic, toxicity, then the text
-    draws.  The world's materialisation loops unroll it inline (platform
-    known per site); any change here must be mirrored there.
-    """
-    if day_cdf is not None:
-        topic = generator.pick_topic_from_cdf(day_cdf)
-    else:
-        topic = generator.pick_topic(day_mixture)
-    # is_toxic_post, unrolled: this runs once per generated post
-    if platform == "twitter":
-        toxic = rng.random() < agent.toxicity_twitter
-        hashtag_prob = 0.45
-    elif platform == "mastodon":
-        toxic = rng.random() < agent.toxicity_mastodon
-        hashtag_prob = 0.62
-    else:
-        raise ValueError(f"unknown platform {platform!r}")
-    return generator.generate(topic, toxic=toxic, hashtag_prob=hashtag_prob)

@@ -22,11 +22,10 @@ and ``bench_report --check`` re-validates the recorded rows, so a
 memory regression at scale 1.0 fails CI even though CI never runs the
 object world at that scale.
 
-Peak RSS is read from ``VmHWM`` after resetting the kernel's high-water
-mark before each scale (``/proc/self/clear_refs``), so each row is a
-faithful per-scale peak even inside an already-large process.  Where the
-reset is unavailable the reading falls back to ``ru_maxrss`` (process
-lifetime), which is why scales still run in ascending order.
+Each scale is built in a fresh interpreter (a ``spawn`` child) and its
+peak RSS is that child's own high-water mark (``VmHWM``): the plan plus
+the interpreter and its imports, never the memory of the process that
+launched the bench (a test session, a notebook).
 """
 
 from __future__ import annotations
@@ -34,10 +33,12 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import multiprocessing
 import resource
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.obs.bench_report import append_history_row, default_history_path
@@ -68,41 +69,28 @@ def _git_sha() -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def _reset_peak_rss() -> None:
-    """Reset the kernel's per-process RSS high-water mark (Linux).
-
-    Writing ``5`` to ``/proc/self/clear_refs`` zeroes ``VmHWM``, so the
-    next reading reflects the peak *since this call* rather than the
-    process lifetime — which is what makes the ceiling meaningful when
-    the bench runs inside an already-large process (a test session, a
-    notebook).  Silently a no-op where the file doesn't exist.
-    """
-    try:
-        with open("/proc/self/clear_refs", "w") as fh:
-            fh.write("5")
-    except OSError:
-        pass
-
-
 def _peak_rss_bytes() -> int:
-    # Prefer VmHWM (resettable via _reset_peak_rss) over ru_maxrss
-    # (process-lifetime only).
+    """This process's peak RSS since it started its program.
+
+    ``VmHWM`` belongs to the process's own address space.  ``ru_maxrss``
+    is only the fallback where ``/proc`` is missing: on Linux a fork+exec'd
+    child inherits the parent's high-water mark in it, so a child launched
+    from a 415MB process reads 415MB there and ~15MB in ``VmHWM``.
+    """
     try:
         with open("/proc/self/status") as fh:
             for line in fh:
                 if line.startswith("VmHWM:"):
                     return int(line.split()[1]) * 1024
-    except (OSError, ValueError, IndexError):
+    except OSError:
         pass
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # ru_maxrss is KiB on Linux, bytes on macOS
     return usage if sys.platform == "darwin" else usage * 1024
 
 
-def run_scale(seed: int, scale: float, shard_count: int | None = None) -> dict:
-    """One plan-mode build; returns the row recorded for this scale."""
+def _build_row(seed: int, scale: float, shard_count: int | None) -> dict:
     kwargs = {} if shard_count is None else {"shard_count": shard_count}
-    _reset_peak_rss()
     started = time.perf_counter()
     plan = plan_world(SimConfig(seed=seed, scale=scale), **kwargs)
     wall = time.perf_counter() - started
@@ -117,6 +105,13 @@ def run_scale(seed: int, scale: float, shard_count: int | None = None) -> dict:
         "statuses_planned": plan.statuses_planned,
         "column_bytes": plan.column_bytes,
     }
+
+
+def run_scale(seed: int, scale: float, shard_count: int | None = None) -> dict:
+    """One plan-mode build in a fresh child process; returns its row."""
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        return pool.submit(_build_row, seed, scale, shard_count).result()
 
 
 def record_pipeline_section(rows: list[dict], ceiling_bytes: int,

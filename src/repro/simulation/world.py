@@ -29,7 +29,6 @@ from __future__ import annotations
 import datetime as _dt
 import gc
 import time
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -321,12 +320,6 @@ class World:
     @property
     def _contagion_rng(self) -> np.random.Generator:
         return self.rng.stream("contagion-decisions")
-
-    def _contagion_fraction(self, user_id: int) -> float:
-        degree = self.twitter_graph.followee_count(user_id)
-        if degree == 0:
-            return 0.0
-        return self._migrated_followee_count.get(user_id, 0) / degree
 
     def _migrate(self, agent: SimUser, day: _dt.date) -> None:
         when = _dt.datetime.combine(day, _dt.time(18, 0)) + _dt.timedelta(
@@ -687,16 +680,12 @@ class World:
             downed_users += populations[domain]
 
 
-_LEGACY_KWARGS_WARNED = False
-
-
 def build_world(
     config: SimConfig | None = None,
     *,
     workers: int = 1,
     backend: str = "serial",
     shard_count: int | None = None,
-    **legacy,
 ) -> World:
     """Build and simulate a world in one call.
 
@@ -706,30 +695,11 @@ def build_world(
 
     ``workers``/``backend`` configure the sharded materialisation planner;
     the dataset is byte-identical for any setting.
-
-    The legacy keyword form — ``build_world(seed=1, scale=0.005, ...)`` —
-    still works: the kwargs are mapped onto a :class:`SimConfig`
-    field-for-field (one :class:`DeprecationWarning` per process).  Both
-    call forms produce byte-identical datasets, which
-    ``tests/simulation/test_simconfig_api.py`` pins.
     """
     from repro import obs
 
-    global _LEGACY_KWARGS_WARNED
-    if config is not None and legacy:
-        raise TypeError(
-            "pass either a SimConfig or legacy keyword overrides, not both"
-        )
     if config is None:
-        if legacy and not _LEGACY_KWARGS_WARNED:
-            warnings.warn(
-                "build_world(seed=..., scale=..., **overrides) is deprecated; "
-                "pass build_world(SimConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _LEGACY_KWARGS_WARNED = True
-        config = SimConfig(**legacy)
+        config = SimConfig()
     elif not isinstance(config, WorldConfig):
         raise TypeError(
             f"build_world expects a SimConfig, got {type(config).__name__}"

@@ -6,7 +6,7 @@ import bisect
 import datetime as _dt
 from collections.abc import Iterable, Iterator
 
-from repro.twitter.errors import NotFoundError
+from repro.errors import NotFoundError
 from repro.twitter.index import TweetIndex
 from repro.twitter.models import Tweet, TwitterUser
 
@@ -54,9 +54,6 @@ class TwitterStore:
             return self._users_by_id[self._users_by_username[username.lower()]]
         except KeyError:
             raise NotFoundError(f"no such username {username!r}") from None
-
-    def has_user(self, user_id: int) -> bool:
-        return user_id in self._users_by_id
 
     def users(self) -> Iterator[TwitterUser]:
         return iter(self._users_by_id.values())

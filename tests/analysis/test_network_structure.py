@@ -1,15 +1,12 @@
-"""Tests for repro.analysis.network_structure."""
+"""Tests for repro.analysis.network_structure and its networkx oracle."""
 
 import networkx as nx
 import pytest
 
-from repro.analysis.network_structure import (
-    build_sample_graph,
-    instance_cooccurrence_graph,
-    network_structure,
-)
+from repro.analysis.network_structure import network_structure
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
+from tests.oracles.analysis import build_sample_graph, instance_cooccurrence_graph
 
 
 class TestBuildSampleGraph:

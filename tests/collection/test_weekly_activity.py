@@ -1,10 +1,11 @@
-"""Tests for repro.collection.weekly_activity."""
+"""Tests for repro.collection.weekly_activity and the weekly-totals oracle."""
 
 import datetime as dt
 
-from repro.collection.weekly_activity import WeeklyActivityCrawler, aggregate_weeks
+from repro.collection.weekly_activity import WeeklyActivityCrawler
 from repro.fediverse.api import MastodonClient
 from repro.fediverse.network import FediverseNetwork
+from tests.oracles.analysis import aggregate_weeks
 
 
 def build_network():

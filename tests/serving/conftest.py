@@ -23,12 +23,6 @@ def serving_app(small_dataset) -> ServingApp:
 
 
 @pytest.fixture(scope="session")
-def naive_app(small_dataset) -> ServingApp:
-    """Naive views, caches off — the reference the fast path must match."""
-    return ServingApp(small_dataset, columnar=False, caches=False)
-
-
-@pytest.fixture(scope="session")
 def small_trace(small_dataset):
     """A deterministic 400-request workload over the small dataset."""
     return build_trace(small_dataset, LoadgenConfig(seed=7, requests=400))

@@ -104,7 +104,7 @@ class TestErrors:
         assert status == 405
 
     def test_errors_are_counted(self, small_dataset):
-        app = ServingApp(small_dataset, columnar=False, caches=False)
+        app = ServingApp(small_dataset, caches=False)
         app.get("/nope")
         assert app.error_count == 1
         assert app.request_count == 1

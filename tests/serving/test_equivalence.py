@@ -3,8 +3,9 @@
 Two byte-level equivalences, checked over a real generated workload plus
 hand-picked edge cases:
 
-- **columnar == naive** — every endpoint's payload from the columnar
-  fast path is byte-identical to the naive per-object reference;
+- **columnar == oracle** — every endpoint's payload from the columnar
+  views is byte-identical to the per-object ``NaiveViews`` oracle
+  (``tests/oracles``), answered through the same uncached ``ServingApp``;
 - **caches == no caches** — enabling the cache tiers changes latency
   only, never bytes (the second, cached answer is identical too).
 
@@ -15,6 +16,7 @@ is documented as the one volatile endpoint.
 import pytest
 
 from repro.serving.app import ServingApp
+from tests.oracles import oracle_responses
 
 #: Edge-case targets the random workload may not cover.
 EDGE_TARGETS = [
@@ -37,28 +39,34 @@ EDGE_TARGETS = [
 ]
 
 
+def assert_matches_oracle(app, dataset, targets):
+    expected = oracle_responses(dataset, targets)
+    for target, oracle in zip(targets, expected):
+        assert app.get(target) == oracle, target
+
+
 class TestColumnarNaiveEquivalence:
     def test_generated_workload_is_byte_identical(
-        self, serving_app, naive_app, small_trace
+        self, serving_app, small_dataset, small_trace
     ):
-        for request in small_trace:
-            assert serving_app.get(request.target) == naive_app.get(
-                request.target
-            ), request.target
+        targets = [request.target for request in small_trace]
+        assert_matches_oracle(serving_app, small_dataset, targets)
 
     @pytest.mark.parametrize("target", EDGE_TARGETS)
-    def test_edge_targets_are_byte_identical(self, serving_app, naive_app, target):
-        assert serving_app.get(target) == naive_app.get(target)
-
-    def test_every_timeline_is_byte_identical(
-        self, serving_app, naive_app, small_dataset
+    def test_edge_targets_are_byte_identical(
+        self, serving_app, small_dataset, target
     ):
-        for uid in list(small_dataset.twitter_timelines)[:25]:
-            target = f"/v1/timeline/{uid}?limit=500"
-            assert serving_app.get(target) == naive_app.get(target)
-        for uid in list(small_dataset.mastodon_timelines)[:25]:
-            target = f"/v1/timeline/{uid}?platform=mastodon&limit=500"
-            assert serving_app.get(target) == naive_app.get(target)
+        assert_matches_oracle(serving_app, small_dataset, [target])
+
+    def test_every_timeline_is_byte_identical(self, serving_app, small_dataset):
+        targets = [
+            f"/v1/timeline/{uid}?limit=500"
+            for uid in list(small_dataset.twitter_timelines)[:25]
+        ] + [
+            f"/v1/timeline/{uid}?platform=mastodon&limit=500"
+            for uid in list(small_dataset.mastodon_timelines)[:25]
+        ]
+        assert_matches_oracle(serving_app, small_dataset, targets)
 
 
 class TestCacheTransparency:

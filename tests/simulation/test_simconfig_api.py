@@ -1,26 +1,17 @@
-"""The redesigned simulation API: SimConfig in, one world out.
+"""The simulation API: SimConfig in, one world out.
 
-``build_world(SimConfig(...))`` is the supported entry point; the legacy
-``build_world(seed=..., scale=...)`` keyword form lives behind a
-deprecation shim that must (a) warn exactly once per process and (b)
-produce byte-identical datasets — the shim is a renaming, not a fork.
+``build_world(SimConfig(...))`` is the only entry point; keyword overrides
+such as ``build_world(seed=..., scale=...)`` are refused.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 
 import pytest
 
-from repro.collection.pipeline import collect_dataset
 from repro.errors import ConfigError
 from repro.simulation import SimConfig, build_world
-from repro.simulation import world as world_mod
-
-
-def _sha(world) -> str:
-    return hashlib.sha256(collect_dataset(world).to_json().encode()).hexdigest()
 
 
 class TestConfigValidation:
@@ -56,38 +47,15 @@ class TestConfigValidation:
         with pytest.raises(TypeError, match="SimConfig"):
             build_world({"seed": 7})
 
-    def test_build_world_rejects_config_plus_legacy_kwargs(self):
-        with pytest.raises(TypeError, match="not both"):
-            build_world(SimConfig(), seed=7)
-
-    def test_unknown_legacy_kwarg_fails_like_the_dataclass(self):
-        with pytest.raises(TypeError):
-            build_world(seed=7, scael=0.001)
-
 
 class TestLegacyShim:
-    @pytest.fixture(autouse=True)
-    def _reset_warning_latch(self):
-        before = world_mod._LEGACY_KWARGS_WARNED
-        world_mod._LEGACY_KWARGS_WARNED = False
-        yield
-        world_mod._LEGACY_KWARGS_WARNED = before
+    """The keyword-override form of ``build_world`` was removed."""
 
-    def test_legacy_kwargs_warn_exactly_once_per_process(self):
-        with pytest.warns(DeprecationWarning, match="SimConfig"):
+    def test_keyword_overrides_are_refused(self):
+        with pytest.raises(TypeError):
             build_world(seed=3, scale=0.0002)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_world(seed=3, scale=0.0002)  # latched: must stay silent
 
     def test_config_form_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             build_world(SimConfig(seed=3, scale=0.0002))
-
-    def test_legacy_and_config_forms_are_byte_identical(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = build_world(seed=5, scale=0.001)
-        modern = build_world(SimConfig(seed=5, scale=0.001))
-        assert _sha(legacy) == _sha(modern)

@@ -1,10 +1,10 @@
-"""Tests for the unified error surface (repro.errors) and its shims."""
+"""Tests for the unified error surface (repro.errors) and its re-exports."""
 
 import pytest
 
 import repro.errors as errors
-import repro.fediverse.errors as fedi_shim
-import repro.twitter.errors as twitter_shim
+import repro.fediverse as fediverse
+import repro.twitter as twitter
 
 
 class TestRetriableSurface:
@@ -72,7 +72,7 @@ class TestRetryAfter:
 
 
 class TestShims:
-    """The subsystem error modules re-export the unified hierarchy."""
+    """The subsystem packages re-export their branch of the hierarchy."""
 
     @pytest.mark.parametrize(
         "name",
@@ -85,7 +85,9 @@ class TestShims:
         ],
     )
     def test_twitter_shim_identity(self, name):
-        assert getattr(twitter_shim, name) is getattr(errors, name)
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.TwitterError)
+        assert getattr(twitter, name) is cls
 
     @pytest.mark.parametrize(
         "name",
@@ -100,7 +102,10 @@ class TestShims:
         ],
     )
     def test_fediverse_shim_identity(self, name):
-        assert getattr(fedi_shim, name) is getattr(errors, name)
+        cls = getattr(errors, name)
+        assert issubclass(cls, errors.FediverseError)
+        # the package re-exports the common ones; any it does must be these
+        assert getattr(fediverse, name, cls) is cls
 
     def test_everything_reexported_is_a_repro_error(self):
         for name in errors.__all__:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.twitter.errors import RateLimitExceeded
+from repro.errors import RateLimitExceeded
 from repro.twitter.ratelimit import DEFAULT_LIMITS, EndpointLimit, RateLimiter
 
 
