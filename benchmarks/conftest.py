@@ -218,9 +218,9 @@ def record_analysis(section: dict) -> None:
 def record_parallel(section: dict) -> None:
     """Write the sharded-crawl comparison into the artifact's ``parallel`` key.
 
-    ``test_bench_parallel.py`` calls this with the serial-vs-4-worker
-    numbers; the base artifact must exist first (depend on
-    ``bench_dataset``).
+    ``test_bench_parallel.py`` calls this with the virtual total, the
+    4-worker round-robin makespan and the collection's wall time; the base
+    artifact must exist first (depend on ``bench_dataset``).
     """
     payload = json.loads(BENCH_ARTIFACT.read_text())
     payload["parallel"] = section

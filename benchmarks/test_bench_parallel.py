@@ -1,82 +1,66 @@
-"""Benchmark of the sharded-parallel collection engine (4 workers vs 1).
+"""Benchmark of the sharded collection engine's crawl parallelism.
 
 The crawl the paper ran was dominated by *waits* — rate-limit windows and
 instance outages — not CPU, so the meaningful speedup of parallel crawling
 is measured on the **virtual crawl clock**: each shard accumulates the
-virtual seconds a real crawler would have spent on it, and the engine's
-round-robin makespan model gives the elapsed virtual time at any worker
-count (shard ``i`` on worker ``i % N``; the stage takes as long as its
-slowest worker).  That quantity is deterministic, hardware-independent,
-and exactly what ``--workers 4`` buys a real crawl.
+virtual seconds a real crawler would have spent on it, and the round-robin
+makespan model gives the elapsed virtual time at any worker count (shard
+``i`` on worker ``i % N``; the stage takes as long as its slowest worker).
+That quantity is deterministic, hardware-independent, and what ``N``
+parallel crawlers would buy a real crawl.
 
-Real wall-clock seconds for both runs are recorded honestly alongside in
-``BENCH_pipeline.json`` — on a single-core CI box the fork pool cannot
-beat the serial loop on wall time, which is itself worth recording — but
-the speedup gate is on the virtual makespan.
+One instrumented collection records every stage's per-shard virtual
+seconds; the 4-worker makespan is
+:func:`~repro.parallel.sharding.round_robin_makespan` over them, summed
+over the stages.  The collection's real wall time is recorded alongside in
+``BENCH_pipeline.json``; the speedup gate is on the virtual makespan.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
 from conftest import BENCH_SCALE, BENCH_SEED, record_parallel
 
 from repro import obs
-from repro.collection.pipeline import CollectionConfig, collect_dataset
-from repro.parallel import fork_available
+from repro.collection.pipeline import collect_dataset
+from repro.parallel import round_robin_makespan
 from repro.simulation.config import SimConfig
 from repro.simulation.world import build_world
 
 WORKERS = 4
-#: Crawl-stage virtual speedup the engine must deliver at 4 workers.
+#: Crawl-stage virtual speedup the shard layout must allow at 4 workers.
 MIN_SPEEDUP = 1.8
 
 
-def _timed_run(workers: int, backend: str) -> tuple[dict, float]:
-    """One instrumented collection; returns (virtual report, wall seconds)."""
+def test_bench_parallel_crawl(bench_dataset):
     world = build_world(SimConfig(seed=BENCH_SEED, scale=BENCH_SCALE))
     registry = obs.MetricsRegistry()
-    config = CollectionConfig(workers=workers, backend=backend)
     started = time.perf_counter()
     with obs.use(registry):
-        collect_dataset(world, config)
+        collect_dataset(world)
     wall = time.perf_counter() - started
     report = registry.tracer.find("collect_dataset").meta["parallel"]
-    return report, wall
 
-
-def test_bench_parallel_crawl(bench_dataset):
-    backend = "multiprocessing" if fork_available() else "serial"
-    serial_report, serial_wall = _timed_run(1, "serial")
-    parallel_report, parallel_wall = _timed_run(WORKERS, backend)
-
-    # The virtual cost of the crawl is backend- and worker-independent;
-    # only its parallel schedule (the makespan) changes.
-    assert parallel_report["virtual_total"] == pytest.approx(
-        serial_report["virtual_total"]
+    total = report["virtual_total"]
+    makespan = sum(
+        round_robin_makespan(stage["shard_virtual"], WORKERS)
+        for stage in report["stages"].values()
     )
-
-    total = parallel_report["virtual_total"]
-    makespan = parallel_report["virtual_makespan"]
-    assert makespan > 0
+    assert 0 < makespan < total
     speedup = total / makespan
 
     record_parallel(
         {
             "scale": BENCH_SCALE,
             "seed": BENCH_SEED,
-            "backend": backend,
             "workers": WORKERS,
-            "shards": parallel_report["shards"],
-            "stages": parallel_report["stages"],
+            "shards": report["shards"],
+            "stages": report["stages"],
             "virtual_total_seconds": total,
             "virtual_makespan_seconds": makespan,
             "virtual_speedup": round(speedup, 3),
-            "wall_seconds": {
-                "workers_1": round(serial_wall, 3),
-                f"workers_{WORKERS}": round(parallel_wall, 3),
-            },
+            "wall_seconds": {"workers_1": round(wall, 3)},
         }
     )
 

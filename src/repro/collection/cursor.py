@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ResumeError
-from repro.parallel.sharding import derive_seed
+from repro.parallel.sharding import SHARD_COUNT, derive_seed
 from repro.twitter.models import AccountState, TwitterUser
 from repro.util.clock import SIM_START
 
@@ -65,10 +65,12 @@ def config_digest(config) -> str:
 
     Covers exactly the fields the dataset bytes depend on besides the
     world and the clock: the crawl windows, the followee sampling knobs
-    and the shard seed schedule.  Fault plan, retry policy, workers and
-    backend are excluded — faults change *outcomes*, not the identity of
-    the crawl, and a crashed faulty run is legitimately resumed under a
-    repaired (fault-free) transport.
+    and the shard seed schedule.  Fault plan and retry policy are excluded
+    — faults change *outcomes*, not the identity of the crawl, and a
+    crashed faulty run is legitimately resumed under a repaired
+    (fault-free) transport.  ``shard_count`` is the fixed
+    :data:`~repro.parallel.sharding.SHARD_COUNT`; it stays in the digest so
+    cursors saved before the count became a constant remain valid.
     """
     material = json.dumps(
         {
@@ -83,7 +85,7 @@ def config_digest(config) -> str:
             "followee_sample_fraction": config.followee_sample_fraction,
             "sampler_seed": config.sampler_seed,
             "shard_seed": config.shard_seed,
-            "shard_count": config.shard_count,
+            "shard_count": SHARD_COUNT,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -97,7 +99,7 @@ def shard_seed_digests(config) -> dict[str, list[str]]:
     return {
         stage: [
             format(derive_seed(config.shard_seed, base, stage, index), "016x")
-            for index in range(config.shard_count)
+            for index in range(SHARD_COUNT)
         ]
         for stage in SHARDED_STAGES
     }

@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.collection import shards
 from repro.collection.cursor import (
     CollectionState,
     CrawlCursor,
@@ -60,7 +61,6 @@ from repro.collection.tweet_search import (
 from repro.errors import ConfigError, ResumeError
 from repro.faults import FaultPlan
 from repro.parallel.engine import ShardEngine
-from repro.parallel.sharding import SHARD_COUNT
 from repro.simulation.world import World
 from repro.transport import RetryPolicy
 from repro.util.clock import (
@@ -96,10 +96,10 @@ class CollectionConfig:
     pre-resilience pipeline); ``retry_policy`` is the resilience budget the
     crawlers spend against those faults, on the virtual clock.
 
-    ``workers``/``backend`` control *scheduling* of the sharded crawl
-    stages; ``shard_seed``/``shard_count`` control *determinism* — the
-    dataset depends only on these (plus the world and fault plan), never
-    on workers or backend.  See :mod:`repro.parallel`.
+    ``shard_seed`` keys the per-(stage, shard) seed schedule of the
+    sharded crawl stages (the shard count is the fixed
+    :data:`~repro.parallel.sharding.SHARD_COUNT`).  See
+    :mod:`repro.parallel`.
 
     ``clock`` is the observer's "today": when set, every crawl window is
     clipped to it (the simulated future does not exist yet) and the dataset
@@ -117,10 +117,7 @@ class CollectionConfig:
     sampler_seed: int = 99
     fault_plan: FaultPlan = field(default_factory=FaultPlan.none)
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
-    workers: int = 1
-    backend: str = "serial"
     shard_seed: int = 0
-    shard_count: int = SHARD_COUNT
     clock: _dt.date | None = None
 
     def __post_init__(self) -> None:
@@ -198,9 +195,9 @@ def run_pipeline(
     cursor, the run validates it against this world + config (raising
     :class:`~repro.errors.ResumeError` on any mismatch), reloads the
     snapshot and re-enters at the first incomplete stage — a resumed run
-    is byte-identical to an uninterrupted one at every worker count,
-    because shard work and fault streams are keyed by per-(stage, shard)
-    derived seeds, not by wall progress.
+    is byte-identical to an uninterrupted one, because shard work and
+    fault streams are keyed by per-(stage, shard) derived seeds, not by
+    wall progress.
     """
     config = config if config is not None else CollectionConfig()
     registry = obs.current()
@@ -246,14 +243,13 @@ def run_pipeline(
     # The pipeline-level API handle only sizes the followee budget (pure
     # quota arithmetic); every simulated request is issued by a per-shard
     # client built inside the engine, so the whole fault/limiter state
-    # lives at shard granularity regardless of worker count.
+    # lives at shard granularity.
     api = world.twitter_api(faults=config.fault_plan, retry=config.retry_policy)
 
     collected: CollectedTweets | None = None
 
-    with registry.span("collect_dataset") as run_span, ShardEngine(
-        world, config
-    ) as engine:
+    engine = ShardEngine(world, config)
+    with registry.span("collect_dataset") as run_span:
         # 1. instance index
         if "instance_list" not in done:
             with registry.span("collect.instance_list") as span:
@@ -273,7 +269,7 @@ def run_pipeline(
                 )
                 outcome = engine.map_stage(
                     "tweet_search",
-                    "repro.collection.shards:tweet_search_shard",
+                    shards.tweet_search_shard,
                     queries,
                 )
                 collected = merge_collected(outcome.payloads)
@@ -324,7 +320,7 @@ def run_pipeline(
                 with registry.span("collect.timelines.twitter"):
                     outcome = engine.map_stage(
                         "timelines.twitter",
-                        "repro.collection.shards:twitter_timelines_shard",
+                        shards.twitter_timelines_shard,
                         matched_list,
                     )
                     coverage = CrawlCoverage()
@@ -340,7 +336,7 @@ def run_pipeline(
                 with registry.span("collect.timelines.mastodon"):
                     outcome = engine.map_stage(
                         "timelines.mastodon",
-                        "repro.collection.shards:mastodon_timelines_shard",
+                        shards.mastodon_timelines_shard,
                         matched_list,
                     )
                     coverage = CrawlCoverage()
@@ -392,7 +388,7 @@ def run_pipeline(
                     for user in sample
                 ]
                 outcome = engine.map_stage(
-                    "followees", "repro.collection.shards:followees_shard", pairs
+                    "followees", shards.followees_shard, pairs
                 )
                 for part_records, part_attempted in outcome.payloads:
                     dataset.followee_sample.update(part_records)
@@ -419,7 +415,7 @@ def run_pipeline(
                 )
                 outcome = engine.map_stage(
                     "weekly_activity",
-                    "repro.collection.shards:weekly_activity_shard",
+                    shards.weekly_activity_shard,
                     domains,
                 )
                 failed_domains: list[str] = []
@@ -443,8 +439,7 @@ def run_pipeline(
 
         # 7. search-interest series (Figure 1's external data pull).
         #    TrendsService draws from the world RNG per call (stateful
-        #    across collections), so this stage stays serial in the main
-        #    process by design.  A clocked collection rewinds the noise
+        #    across collections), so this stage is not sharded.  A clocked collection rewinds the noise
         #    stream first, so pulling again at a later clock reproduces
         #    the earlier series as a prefix; unclocked collections keep
         #    the legacy cumulative stream (golden digests pin it).

@@ -1,13 +1,11 @@
-"""Shard-level stage functions for the parallel collection engine.
+"""Shard-level stage functions for the sharded collection engine.
 
 Each function here is one stage's unit of shard work, with the uniform
-signature the engine's worker expects::
+signature :meth:`repro.parallel.ShardEngine.map_stage` expects::
 
     fn(world, config, ctx: ShardContext, items: list, accounting) -> payload
 
-They are addressed by dotted path (``"repro.collection.shards:..."``) so
-jobs stay picklable across the ``fork`` pool — no closures, no bound
-methods.  Every function builds its *own* clients from the shard context
+Every function builds its *own* clients from the shard context
 (own rate limiter, virtual clock, fault-injector slice and breaker board),
 walks its contiguous item slice with the same per-item primitives the
 serial crawlers use, and returns a payload the pipeline merges in shard

@@ -7,7 +7,6 @@ Usage::
                       [--faults SCENARIO] [--quiet] [--metrics out.json] \
                       [--trace[=trace.json]] [--events events.jsonl] \
                       [--memory] [--profile SPAN] \
-                      [--workers N] [--backend auto|serial|multiprocessing] \
                       [--world-<field> VALUE ...]
 
 ``--dataset`` loads a previously saved dataset (skipping the simulation);
@@ -21,7 +20,7 @@ the machine-readable telemetry (counters, gauges, histogram summaries,
 span tree, event stream) to PATH; ``--trace`` prints the span tree and the
 human-readable crawl report to stderr, and ``--trace=PATH`` additionally
 writes the run as a Chrome/Perfetto trace-event file (open it at
-https://ui.perfetto.dev — parallel crawl shards render as one swimlane per
+https://ui.perfetto.dev — crawl shards render as one swimlane per
 (stage, shard)).  ``--events PATH`` writes the raw timestamped event
 stream (span opens/closes, watched-counter crossings, per-tick
 ``world.simulate`` heartbeats) as JSON-lines.  ``--memory`` adds per-span
@@ -31,9 +30,6 @@ table to the named span (e.g. ``--profile world.simulate``).  Any of these
 flags turns instrumentation on; without them the no-op registry is active
 and the run is telemetry-free.  None of them perturb the dataset: bytes
 are identical with the whole profiling plane on or off.
-``--workers N`` schedules the sharded crawl stages over a ``fork`` worker
-pool (``--backend`` picks the execution backend); the collected dataset is
-byte-identical at any worker count — see :mod:`repro.parallel`.
 ``--save``/``--dataset`` paths ending in ``.npz`` use the compact binary
 dataset format (:mod:`repro.collection.binfmt`) instead of JSON; the
 figures are identical either way.
@@ -63,7 +59,6 @@ from repro.collection.pipeline import CollectionConfig, collect_dataset
 from repro.errors import ConfigError
 from repro.experiments.registry import all_experiment_ids, get_experiment
 from repro.faults import FaultPlan, scenario_names
-from repro.parallel.engine import fork_available
 from repro.simulation.config import SimConfig, field_docs
 from repro.simulation.world import build_world
 
@@ -238,9 +233,6 @@ def main(argv: list[str] | None = None) -> int:
                              "over HTTP instead of running experiments "
                              "(python -m repro.serving has the full serving "
                              "CLI, including the load generator)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker count for the sharded crawl stages; the "
-                             "dataset is byte-identical at any value")
     parser.add_argument("--clock", type=_dt.date.fromisoformat, default=None,
                         metavar="DATE",
                         help="observer-clock collection: gather only what a "
@@ -252,15 +244,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="after the clocked collection, advance the clock "
                              "N days incrementally (delta crawls; requires "
                              "--clock)")
-    parser.add_argument("--backend", type=str, default="auto",
-                        choices=("auto", "serial", "multiprocessing"),
-                        help="shard execution backend (auto: multiprocessing "
-                             "when --workers > 1 and fork is available)")
     add_world_flags(parser)
     args = parser.parse_args(argv)
-
-    if args.workers < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
 
     overrides = world_overrides(args)
     if overrides and args.dataset:
@@ -271,13 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         sim_config.validate()
     except ConfigError as err:
         parser.error(str(err))
-    backend = args.backend
-    if backend == "auto":
-        backend = (
-            "multiprocessing"
-            if args.workers > 1 and fork_available()
-            else "serial"
-        )
 
     if args.advance_days:
         if args.advance_days < 0:
@@ -299,11 +277,7 @@ def main(argv: list[str] | None = None) -> int:
             plan = FaultPlan.scenario(args.faults, seed=args.seed)
         except ConfigError as err:
             parser.error(str(err))
-        config = CollectionConfig(
-            fault_plan=plan, workers=args.workers, backend=backend
-        )
-    elif args.workers > 1 or backend != "serial":
-        config = CollectionConfig(workers=args.workers, backend=backend)
+        config = CollectionConfig(fault_plan=plan)
     if args.clock is not None:
         try:
             config = dataclasses.replace(

@@ -13,11 +13,10 @@ Event schema (one JSON object per line in the ``.jsonl`` export)::
      "name": "<span/counter/heartbeat name>",
      "fields": {...}}
 
-The log is deliberately a plain in-memory list: it is picklable (shard
-registries carry their event logs across the ``fork`` boundary and
-:meth:`extend` folds them back in merge order), and nothing is written to
-disk until :meth:`write_jsonl` — so instrumented library code never owns a
-file handle.  Like the rest of :mod:`repro.obs`, the log only *reads*
+The log is deliberately a plain in-memory list: it is picklable, shard
+registries keep their own logs that :meth:`extend` folds back in merge
+order, and nothing is written to disk until :meth:`write_jsonl` — so
+instrumented library code never owns a file handle.  Like the rest of :mod:`repro.obs`, the log only *reads*
 clocks; it never touches RNG state or feeds back into the simulation.
 """
 

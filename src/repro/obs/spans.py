@@ -253,8 +253,8 @@ class Tracer:
         The adopted roots become children of the currently open span (so a
         shard's spans land under the stage span being merged into), or new
         roots when nothing is open.  The spans are assumed sealed; their
-        recorded timings *and timestamps* are kept as-is — epoch clocks
-        agree across ``fork`` children, so adopted shard spans stay
+        recorded timings *and timestamps* are kept as-is — a shard tracer
+        reads the same clocks as the run's, so adopted shard spans stay
         correctly placed on the run's shared timeline.
         """
         parent = self.current

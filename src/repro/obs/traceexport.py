@@ -9,15 +9,15 @@ JSON format that ``chrome://tracing`` and https://ui.perfetto.dev consume:
 - spans are assigned to **lanes** (``tid``): the main pipeline runs in lane
   0, and every ``collect.<stage>.shard`` span adopted from a shard tracer
   (see :meth:`repro.obs.spans.Tracer.adopt`) gets one lane per
-  ``(stage, shard)`` — so the parallel crawl renders as a real swimlane
+  ``(stage, shard)`` — so the sharded crawl renders as a swimlane
   timeline instead of a flattened tree;
 - heartbeat events become instant (``"i"``) marks and watched-counter
   crossings become counter (``"C"``) tracks;
 - lane names are declared through metadata (``"M"``) events.
 
-Timestamps are rebased to the earliest span/event in the trace (epoch
-clocks agree across ``fork`` children, so shard lanes line up with the
-stage that spawned them).  Spans that never recorded timestamps (e.g.
+Timestamps are rebased to the earliest span/event in the trace (shard
+tracers read the same epoch clock as the run, so shard lanes line up with
+the stage that ran them).  Spans that never recorded timestamps (e.g.
 hand-built trees from older exports) are skipped, not invented.
 """
 

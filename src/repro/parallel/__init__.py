@@ -1,36 +1,40 @@
-"""Deterministic sharded-parallel execution for the collection pipeline.
+"""Deterministic sharded execution for the collection pipeline.
 
 The paper's §3 crawl is embarrassingly parallel per user and per instance,
-but a faithful reproduction must not let parallelism perturb the result:
-crawl ordering, rate-limit arithmetic and fault determinism are part of the
-measured object.  This package squares that circle by making the **shard**
-the determinism unit and the worker a pure scheduling concern:
+but a faithful reproduction must not let the execution schedule perturb
+the result: crawl ordering, rate-limit arithmetic and fault determinism
+are part of the measured object.  This package makes the **shard** the
+determinism unit:
 
 - :mod:`repro.parallel.sharding` — seeded shard partitioning, derived
   per-shard seeds, and the round-robin makespan model;
-- :mod:`repro.parallel.engine` — the :class:`ShardEngine` that executes
-  shard jobs on the ``serial`` (in-process) or ``multiprocessing``
-  (``fork`` pool) backend and performs the order-restoring merge, plus the
-  lightweight :class:`WorldShardRunner` the simulation's columnar world
-  generation stages run on (same seeds, same merge, no fault machinery).
+- :mod:`repro.parallel.engine` — the :class:`ShardEngine` that runs a
+  collection stage's shards in process, each with its own clients, fault
+  slice and virtual clock, and performs the order-restoring merge, plus
+  :func:`map_world_stage`, the same seeded map for the simulation's
+  columnar world-generation stages (no fault machinery).
 
-The merged :class:`~repro.collection.dataset.MigrationDataset` is
-byte-identical at any worker count on either backend — the contract
-``tests/parallel/test_serial_equivalence.py`` proves against the golden
-sha256 digests, fault-free and under the ``paper-section-3.2`` scenario.
+The crawl's limiting cost is rate-limit and outage *waits*, so its
+parallelism lives on the virtual clock: each stage records per-shard
+virtual seconds, and :func:`round_robin_makespan` gives the elapsed
+virtual time on any number of crawlers.
+
+The merged :class:`~repro.collection.dataset.MigrationDataset` matches the
+golden sha256 digests whatever order the shards run in — the contract
+``tests/parallel/test_serial_equivalence.py`` and
+``tests/parallel/test_schedule_independence.py`` prove, fault-free and
+under the ``paper-section-3.2`` scenario.
 """
 
 from repro.parallel.engine import (
-    BACKENDS,
     ShardAccounting,
     ShardContext,
     ShardEngine,
-    ShardJob,
     ShardResult,
     StageOutcome,
     WorldShardContext,
-    WorldShardRunner,
-    fork_available,
+    map_world_stage,
+    world_shards,
 )
 from repro.parallel.sharding import (
     SHARD_COUNT,
@@ -42,20 +46,18 @@ from repro.parallel.sharding import (
 )
 
 __all__ = [
-    "BACKENDS",
     "SHARD_COUNT",
     "ShardAccounting",
     "ShardContext",
     "ShardEngine",
-    "ShardJob",
     "ShardResult",
     "StageOutcome",
     "WorldShardContext",
-    "WorldShardRunner",
     "derive_seed",
-    "fork_available",
+    "map_world_stage",
     "partition",
     "partition_bounds",
     "round_robin_assignment",
     "round_robin_makespan",
+    "world_shards",
 ]

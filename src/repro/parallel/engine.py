@@ -1,53 +1,38 @@
-"""The deterministic sharded-parallel execution engine.
+"""The deterministic sharded execution engine.
 
 :class:`ShardEngine` runs a collection stage's per-item work over seeded
 shards (see :mod:`repro.parallel.sharding`): every shard gets its own
 derived fault-injector slice, backoff-jitter stream, rate-limiter quota,
 virtual-clock segment and (when the run is instrumented) its own metrics
 registry, whose contents are folded back into the main trace in shard
-order.  Two backends execute the same shard jobs through the same code
-path:
-
-- ``serial`` — an in-process loop (the default; what tests and CI use to
-  prove equivalence);
-- ``multiprocessing`` — a ``fork`` worker pool; the world is inherited by
-  the children copy-on-write, only shard payloads cross the process
-  boundary.
+order.  Shards execute one after another in the calling process.
 
 Determinism contract: a shard's outcome depends only on the world, the
-collection config and the shard's coordinates — never on the backend, the
-worker count or scheduling order.  The order-restoring merge (shards are
-contiguous slices, merged by concatenation in shard index order) therefore
-produces byte-identical datasets at any worker count, which
+collection config and the shard's coordinates — never on which shards ran
+before it.  The order-restoring merge (shards are contiguous slices,
+merged by concatenation in shard index order) therefore produces the
+golden bytes whatever the schedule, which
 ``tests/parallel/test_serial_equivalence.py`` proves against the golden
-digests.
+digests and ``tests/parallel/test_schedule_independence.py`` by running
+every shard in reverse order.
+
+How long the crawl would take on ``N`` parallel crawlers is a virtual-clock
+question, not a wall-clock one: each stage records its per-shard virtual
+seconds, and :func:`~repro.parallel.sharding.round_robin_makespan` turns
+them into the makespan at any worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import multiprocessing
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro import obs
-from repro.errors import ConfigError
 from repro.faults import FaultPlan
-from repro.parallel.sharding import (
-    derive_seed,
-    partition,
-    round_robin_makespan,
-)
+from repro.parallel.sharding import SHARD_COUNT, derive_seed, partition
 from repro.transport import RetryPolicy
-
-BACKENDS = ("serial", "multiprocessing")
-
-
-def fork_available() -> bool:
-    """Whether the ``multiprocessing`` backend can run on this platform."""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 @dataclass(frozen=True)
@@ -107,18 +92,14 @@ class ShardAccounting:
             self.injected += client.transport.injector.injected_total
 
 
-@dataclass(frozen=True)
-class ShardJob:
-    """One schedulable unit: a stage function applied to one shard."""
-
-    fn_path: str  # "package.module:function", resolved lazily in the worker
-    context: ShardContext
-    items: tuple
+#: A collection stage's shard function:
+#: ``fn(world, config, context, items, accounting) -> payload``.
+StageFn = Callable[[Any, Any, ShardContext, list, ShardAccounting], Any]
 
 
 @dataclass
 class ShardResult:
-    """What a shard sends back across the process boundary."""
+    """One executed shard: its payload plus what the merge folds in."""
 
     index: int
     payload: Any
@@ -130,13 +111,17 @@ class ShardResult:
 
 @dataclass
 class StageOutcome:
-    """A sharded stage's merged view, payloads in shard order."""
+    """A sharded stage's merged view, payloads in shard order.
+
+    ``shard_virtual`` holds each shard's virtual seconds;
+    ``round_robin_makespan(shard_virtual, n)`` is the stage's duration on
+    ``n`` parallel crawlers.
+    """
 
     stage: str
     payloads: list[Any]
     items: int
     shards: int
-    workers: int
     shard_virtual: list[float] = field(default_factory=list)
     requests: int = 0
     injected: int = 0
@@ -146,88 +131,141 @@ class StageOutcome:
         """Serial virtual duration: the sum over every shard."""
         return sum(self.shard_virtual)
 
-    @property
-    def virtual_makespan(self) -> float:
-        """Parallel virtual duration under round-robin scheduling."""
-        return round_robin_makespan(self.shard_virtual, self.workers)
 
+class ShardEngine:
+    """Runs sharded stages for one collection run::
 
-# -- worker side ---------------------------------------------------------------
+        engine = ShardEngine(world, config)
+        outcome = engine.map_stage("tweet_search", tweet_search_shard, queries)
 
-#: The active runtime, set in the parent before any shard executes.  The
-#: ``fork`` backend's children inherit it copy-on-write; the serial backend
-#: reads it in-process.  Holding the world here keeps it out of every job
-#: payload.
-_RUNTIME: "_Runtime | None" = None
+    :meth:`map_stage` is :meth:`shards` (the seeded partition),
+    :meth:`run_shard` per shard, and :meth:`merge`, the order-restoring
+    merge: payloads in shard order, shard registries folded into the
+    ambient :func:`repro.obs.current` registry in shard order, and a
+    per-stage virtual-time report (:meth:`virtual_report`).
+    """
 
+    def __init__(self, world, config) -> None:
+        self.world = world
+        self.config = config
+        self.stage_reports: dict[str, dict] = {}
+        self.injected_total = 0
 
-@dataclass
-class _Runtime:
-    world: Any
-    config: Any
-    instrumented: bool
-    #: ``(rss, trace_allocs)`` when the parent registry accounts memory, so
-    #: shard registries mirror the parent's accounting mode; None otherwise.
-    memory: tuple[bool, bool] | None = None
+    def shards(self, stage: str, items: Sequence) -> list[tuple[ShardContext, list]]:
+        """The stage's non-empty shards with their derived contexts.
 
-
-def _resolve(fn_path: str) -> Callable:
-    module_name, _, attr = fn_path.partition(":")
-    if not attr:
-        raise ConfigError(f"malformed stage function path {fn_path!r}")
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def _execute_shard(job: ShardJob) -> ShardResult:
-    """Run one shard job against the inherited runtime (any backend)."""
-    runtime = _RUNTIME
-    if runtime is None:
-        raise RuntimeError("no active shard runtime; use ShardEngine as a context manager")
-    fn = _resolve(job.fn_path)
-    registry = obs.MetricsRegistry() if runtime.instrumented else obs.NOOP
-    accountant = None
-    if runtime.instrumented:
-        registry.watch_default_counters()
-        if runtime.memory is not None:
-            rss, trace_allocs = runtime.memory
-            accountant = registry.enable_memory(rss=rss, trace_allocs=trace_allocs)
-    accounting = ShardAccounting()
-    with obs.use(registry):
-        with registry.span(f"collect.{job.context.stage}.shard") as span:
-            span.annotate(
-                shard=job.context.index,
-                stage=job.context.stage,
-                items=len(job.items),
+        Skipping empty shards cannot shift another shard's streams: the
+        derived seeds are positional.
+        """
+        plan = self.config.fault_plan
+        out = []
+        for index, part in enumerate(partition(items, SHARD_COUNT)):
+            if not part:
+                continue
+            seed = derive_seed(self.config.shard_seed, plan.seed, stage, index)
+            context = ShardContext(
+                stage=stage,
+                index=index,
+                count=SHARD_COUNT,
+                seed=seed,
+                fault_plan=dataclasses.replace(plan, seed=seed),
+                retry_policy=self.config.retry_policy,
             )
-            payload = fn(
-                runtime.world,
-                runtime.config,
-                job.context,
-                list(job.items),
-                accounting,
-            )
-            span.annotate(
-                virtual_seconds=accounting.virtual_seconds,
-                requests=accounting.requests,
-            )
-    if accountant is not None:
-        accountant.close()
-    return ShardResult(
-        index=job.context.index,
-        payload=payload,
-        virtual_seconds=accounting.virtual_seconds,
-        requests=accounting.requests,
-        injected=accounting.injected,
-        registry=registry if runtime.instrumented else None,
-    )
+            out.append((context, part))
+        return out
+
+    def run_shard(self, fn: StageFn, context: ShardContext, items: list) -> ShardResult:
+        """Execute one shard in its own registry and accounting scope.
+
+        An instrumented ambient registry gets a fresh shard registry in the
+        same memory-accounting mode; the shard span records the shard's
+        coordinates and virtual seconds.
+        """
+        ambient = obs.current()
+        instrumented = ambient.enabled
+        registry = obs.MetricsRegistry() if instrumented else obs.NOOP
+        accountant = None
+        if instrumented:
+            registry.watch_default_counters()
+            memory = ambient.tracer.memory
+            if memory is not None:
+                accountant = registry.enable_memory(
+                    rss=memory.rss, trace_allocs=memory.trace_allocs
+                )
+        accounting = ShardAccounting()
+        with obs.use(registry):
+            with registry.span(f"collect.{context.stage}.shard") as span:
+                span.annotate(
+                    shard=context.index, stage=context.stage, items=len(items)
+                )
+                payload = fn(self.world, self.config, context, items, accounting)
+                span.annotate(
+                    virtual_seconds=accounting.virtual_seconds,
+                    requests=accounting.requests,
+                )
+        if accountant is not None:
+            accountant.close()
+        return ShardResult(
+            index=context.index,
+            payload=payload,
+            virtual_seconds=accounting.virtual_seconds,
+            requests=accounting.requests,
+            injected=accounting.injected,
+            registry=registry if instrumented else None,
+        )
+
+    def map_stage(self, stage: str, fn: StageFn, items: Sequence) -> StageOutcome:
+        """Run ``items`` through ``fn`` in seeded shards and merge."""
+        results = [
+            self.run_shard(fn, context, part)
+            for context, part in self.shards(stage, items)
+        ]
+        return self.merge(stage, len(items), results)
+
+    def merge(
+        self, stage: str, item_count: int, results: list[ShardResult]
+    ) -> StageOutcome:
+        """Fold a stage's shard results, given in shard index order.
+
+        The outcome's payloads keep that order (shards are contiguous item
+        slices, so concatenating payloads restores item order).  Shard
+        registries are merged into the ambient registry — also in shard
+        order — so counters sum, histograms pool and the shard spans land
+        under the currently open stage span.
+        """
+        registry = obs.current()
+        outcome = StageOutcome(
+            stage=stage, payloads=[], items=item_count, shards=len(results)
+        )
+        for result in results:
+            outcome.payloads.append(result.payload)
+            outcome.shard_virtual.append(result.virtual_seconds)
+            outcome.requests += result.requests
+            outcome.injected += result.injected
+            if result.registry is not None:
+                registry.merge(result.registry)
+        self.injected_total += outcome.injected
+        self.stage_reports[stage] = {
+            "items": outcome.items,
+            "shards": outcome.shards,
+            "requests": outcome.requests,
+            "virtual_total": outcome.virtual_total,
+            "shard_virtual": list(outcome.shard_virtual),
+        }
+        return outcome
+
+    def virtual_report(self) -> dict:
+        """Per-stage and total virtual timings of the sharded crawl."""
+        return {
+            "shards": SHARD_COUNT,
+            "stages": dict(self.stage_reports),
+            "virtual_total": sum(
+                r["virtual_total"] for r in self.stage_reports.values()
+            ),
+        }
 
 
-# -- the world-generation shard runner ----------------------------------------
-
-#: The world-generation runtime (usually the :class:`World` being built).
-#: Like :data:`_RUNTIME` it is set in the parent before any shard executes
-#: and inherited copy-on-write by forked workers.
-_WORLD_RUNTIME: Any = None
+# -- world-generation stages ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -246,282 +284,57 @@ class WorldShardContext:
         return _np.random.default_rng(self.seed)
 
 
-@dataclass(frozen=True)
-class _WorldShardJob:
-    fn_path: str
-    context: WorldShardContext
-    items: tuple
+def world_shards(
+    stage: str, items: Sequence, *, seed: int
+) -> list[tuple[WorldShardContext, list]]:
+    """The non-empty shards of a world-generation stage, in shard order.
 
-
-def _execute_world_shard(job: _WorldShardJob) -> Any:
-    runtime = _WORLD_RUNTIME
-    if runtime is None:
-        raise RuntimeError(
-            "no active world shard runtime; use WorldShardRunner as a context manager"
-        )
-    fn = _resolve(job.fn_path)
-    return fn(runtime, job.context, list(job.items))
-
-
-class WorldShardRunner:
-    """Deterministic sharded map for world-generation stages.
-
-    The lightweight sibling of :class:`ShardEngine`: no fault plans, retry
-    policies or per-shard metric registries — world generation needs only
-    the determinism contract.  Items are partitioned into contiguous
-    shards, shard ``i`` of stage ``s`` computes with the seed
-    ``derive_seed(seed, seed, s, i)``, and payloads come back in shard
-    order, so concatenating them restores item order.  A shard's payload
-    is a pure function of (runtime, stage, shard items, derived seed) —
-    shard functions MUST NOT mutate the runtime — which makes the merged
-    result independent of the worker count and backend, the property
-    ``tests/simulation/test_world_sharded.py`` proves byte-identically.
+    Shard ``i`` of stage ``s`` computes with ``derive_seed(seed, seed, s,
+    i)``; the seeds are positional, so skipping an empty shard cannot shift
+    another shard's stream.
     """
-
-    def __init__(
-        self,
-        runtime: Any,
-        *,
-        seed: int,
-        workers: int = 1,
-        backend: str = "serial",
-        shard_count: int = None,
-    ) -> None:
-        from repro.parallel.sharding import SHARD_COUNT
-
-        if backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown parallel backend {backend!r} (known: {', '.join(BACKENDS)})"
-            )
-        if workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {workers}")
-        if backend == "multiprocessing" and not fork_available():
-            raise ConfigError(
-                "the multiprocessing backend needs the 'fork' start method; "
-                "use backend='serial' on this platform"
-            )
-        self.runtime = runtime
-        self.seed = seed
-        self.workers = workers
-        self.backend = backend
-        self.shard_count = shard_count if shard_count else SHARD_COUNT
-        self._pool = None
-        self._previous: Any = None
-
-    def __enter__(self) -> "WorldShardRunner":
-        global _WORLD_RUNTIME
-        self._previous = _WORLD_RUNTIME
-        _WORLD_RUNTIME = self.runtime
-        if self.backend == "multiprocessing" and self.workers > 1:
-            context = multiprocessing.get_context("fork")
-            # children fork now and inherit the runtime copy-on-write; the
-            # runtime must not change between here and the last map_stage
-            self._pool = context.Pool(processes=self.workers)
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        global _WORLD_RUNTIME
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-        _WORLD_RUNTIME = self._previous
-        return False
-
-    def map_stage(self, stage: str, fn_path: str, items: Sequence) -> list:
-        """Payloads of ``fn_path`` over seeded shards of ``items``, in shard
-        order (empty shards are skipped; the derived seeds are positional,
-        so skipping cannot shift another shard's stream)."""
-        jobs = [
-            _WorldShardJob(
-                fn_path=fn_path,
-                context=WorldShardContext(
-                    stage=stage,
-                    index=index,
-                    count=self.shard_count,
-                    seed=derive_seed(self.seed, self.seed, stage, index),
-                ),
-                items=tuple(shard),
-            )
-            for index, shard in enumerate(partition(items, self.shard_count))
-            if shard
-        ]
-        if self._pool is not None:
-            return self._pool.map(_execute_world_shard, jobs)
-        return [_execute_world_shard(job) for job in jobs]
-
-
-# -- the engine ----------------------------------------------------------------
-
-
-class ShardEngine:
-    """Runs sharded stages for one collection run.
-
-    Use as a context manager around the pipeline's stages::
-
-        with ShardEngine(world, config) as engine:
-            outcome = engine.map_stage(
-                "tweet_search",
-                "repro.collection.shards:tweet_search_shard",
-                queries,
-            )
-
-    The engine owns the backend (serial loop or ``fork`` pool), activates
-    the shared runtime the workers read, merges shard registries into the
-    ambient :func:`repro.obs.current` registry in shard order, and keeps a
-    per-stage virtual-time report for the parallel benchmarks.
-    """
-
-    def __init__(self, world, config) -> None:
-        workers = getattr(config, "workers", 1)
-        backend = getattr(config, "backend", "serial")
-        shards = getattr(config, "shard_count", None)
-        if workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {workers}")
-        if backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown parallel backend {backend!r} (known: {', '.join(BACKENDS)})"
-            )
-        if backend == "multiprocessing" and not fork_available():
-            raise ConfigError(
-                "the multiprocessing backend needs the 'fork' start method; "
-                "use backend='serial' on this platform"
-            )
-        if shards is None or shards < 1:
-            raise ConfigError(f"shard_count must be at least 1, got {shards}")
-        self.world = world
-        self.config = config
-        self.workers = workers
-        self.backend = backend
-        self.shard_count = shards
-        self.stage_reports: dict[str, dict] = {}
-        self.injected_total = 0
-        self._pool = None
-        self._previous_runtime: _Runtime | None = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def __enter__(self) -> "ShardEngine":
-        global _RUNTIME
-        self._previous_runtime = _RUNTIME
-        registry = obs.current()
-        accountant = registry.tracer.memory
-        _RUNTIME = _Runtime(
-            world=self.world,
-            config=self.config,
-            instrumented=registry.enabled,
-            memory=(
-                (accountant.rss, accountant.trace_allocs)
-                if accountant is not None
-                else None
+    return [
+        (
+            WorldShardContext(
+                stage=stage,
+                index=index,
+                count=SHARD_COUNT,
+                seed=derive_seed(seed, seed, stage, index),
             ),
+            part,
         )
-        if self.backend == "multiprocessing" and self.workers > 1:
-            context = multiprocessing.get_context("fork")
-            # Children fork *now* and inherit the runtime (world included)
-            # copy-on-write; job payloads stay small.
-            self._pool = context.Pool(processes=self.workers)
-        return self
+        for index, part in enumerate(partition(items, SHARD_COUNT))
+        if part
+    ]
 
-    def __exit__(self, *exc_info: object) -> bool:
-        global _RUNTIME
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-        _RUNTIME = self._previous_runtime
-        return False
 
-    # -- execution ---------------------------------------------------------
+def map_world_stage(
+    world, stage: str, fn: Callable, items: Sequence, *, seed: int
+) -> list:
+    """Payloads of ``fn(world, context, items)`` over seeded shards, in
+    shard order, so concatenating them restores item order.
 
-    def map_stage(self, stage: str, fn_path: str, items: Sequence) -> StageOutcome:
-        """Run ``items`` through ``fn_path`` in seeded shards and merge.
-
-        Returns the shard payloads in shard index order (shards are
-        contiguous item slices, so concatenating payloads restores item
-        order).  Shard registries are merged into the ambient registry —
-        also in shard order — so counters sum, histograms pool and the
-        shard spans land under the currently open stage span.
-        """
-        shards = partition(items, self.shard_count)
-        plan = self.config.fault_plan
-        jobs = [
-            ShardJob(
-                fn_path=fn_path,
-                context=ShardContext(
-                    stage=stage,
-                    index=index,
-                    count=self.shard_count,
-                    seed=derive_seed(self.config.shard_seed, plan.seed, stage, index),
-                    fault_plan=dataclasses.replace(
-                        plan,
-                        seed=derive_seed(
-                            self.config.shard_seed, plan.seed, stage, index
-                        ),
-                    ),
-                    retry_policy=self.config.retry_policy,
-                ),
-                items=tuple(shard),
-            )
-            for index, shard in enumerate(shards)
-            if shard
-        ]
-        if self._pool is not None:
-            results = self._pool.map(_execute_shard, jobs)
-        else:
-            results = [_execute_shard(job) for job in jobs]
-
-        registry = obs.current()
-        outcome = StageOutcome(
-            stage=stage,
-            payloads=[],
-            items=len(items),
-            shards=len(jobs),
-            workers=self.workers,
-        )
-        for result in results:  # pool.map preserves job order
-            outcome.payloads.append(result.payload)
-            outcome.shard_virtual.append(result.virtual_seconds)
-            outcome.requests += result.requests
-            outcome.injected += result.injected
-            if result.registry is not None:
-                registry.merge(result.registry)
-        self.injected_total += outcome.injected
-        self.stage_reports[stage] = {
-            "items": outcome.items,
-            "shards": outcome.shards,
-            "workers": outcome.workers,
-            "requests": outcome.requests,
-            "virtual_total": outcome.virtual_total,
-            "virtual_makespan": outcome.virtual_makespan,
-        }
-        return outcome
-
-    # -- reporting ---------------------------------------------------------
-
-    def virtual_report(self) -> dict:
-        """Per-stage and total virtual timings of the sharded crawl."""
-        total = sum(r["virtual_total"] for r in self.stage_reports.values())
-        makespan = sum(r["virtual_makespan"] for r in self.stage_reports.values())
-        return {
-            "backend": self.backend,
-            "workers": self.workers,
-            "shards": self.shard_count,
-            "stages": dict(self.stage_reports),
-            "virtual_total": total,
-            "virtual_makespan": makespan,
-        }
+    The world-generation sibling of :meth:`ShardEngine.map_stage`: no fault
+    plans, retry policies or per-shard registries.  A shard's payload is a
+    pure function of (world, stage, shard items, derived seed) — shard
+    functions MUST NOT mutate the world — which
+    ``tests/parallel/test_schedule_independence.py`` checks by running the
+    shards in reverse order.
+    """
+    return [
+        fn(world, context, part)
+        for context, part in world_shards(stage, items, seed=seed)
+    ]
 
 
 __all__ = [
-    "BACKENDS",
     "ShardAccounting",
     "ShardContext",
     "ShardEngine",
-    "ShardJob",
     "ShardResult",
+    "StageFn",
     "StageOutcome",
     "WorldShardContext",
-    "WorldShardRunner",
-    "fork_available",
+    "map_world_stage",
+    "world_shards",
 ]

@@ -5,8 +5,8 @@ worker: a stage's items are split into a fixed number of contiguous,
 balanced shards (:func:`partition`), and every shard derives its own seed
 (:func:`derive_seed`) for fault injection and backoff jitter.  Because the
 partition and the derived seeds depend only on the item list, the shard
-count and the shard seed — never on the worker count or the backend — the
-merged result of a sharded stage is byte-identical however the shards are
+count and the shard seed — never on the execution order — the merged
+result of a sharded stage is byte-identical however the shards are
 scheduled.
 
 Workers enter only through :func:`round_robin_makespan`, the deterministic
@@ -14,8 +14,8 @@ model of how long the sharded crawl takes on ``workers`` parallel crawlers:
 shard ``i`` runs on worker ``i % workers``, a worker's clock is the sum of
 its shards' virtual durations, and the stage's makespan is the slowest
 worker's clock.  This is the quantity the paper's crawl lived under (rate
-limit windows and outages are *waits*, not work) and the one the parallel
-benchmarks gate on.
+limit windows and outages are *waits*, not work), the documented measure
+of crawl parallelism, and the one the parallel benchmark gates on.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def derive_seed(shard_seed: int, base_seed: int, stage: str, index: int) -> int:
     Derivation hashes the collection run's ``shard_seed``, the fault plan's
     own seed and the shard coordinates, so distinct shards get independent
     streams while the same shard always gets the same one — regardless of
-    which worker executes it, in which order, on which backend.
+    when it executes.
     """
     material = f"repro.parallel:{shard_seed}:{base_seed}:{stage}:{index}"
     digest = hashlib.sha256(material.encode()).digest()

@@ -11,7 +11,7 @@ Entry point::
     world = build_world(SimConfig(seed=7, scale=0.01))
 
 Every behavioural knob is a :class:`SimConfig` field; ``build_world`` takes
-only the config (plus the worker settings of the sharded planner).
+only the config.
 """
 
 from repro.simulation.config import SimConfig, WorldConfig, field_docs

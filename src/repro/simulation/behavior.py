@@ -92,15 +92,6 @@ def paraphrase(rng: np.random.Generator, text: str, vocabulary: Vocabulary) -> s
     return " ".join(kept)
 
 
-def is_toxic_post(rng: np.random.Generator, agent: SimUser, platform: str) -> bool:
-    """Whether the next post by ``agent`` on ``platform`` carries toxicity."""
-    if platform == "twitter":
-        return bool(rng.random() < agent.toxicity_twitter)
-    if platform == "mastodon":
-        return bool(rng.random() < agent.toxicity_mastodon)
-    raise ValueError(f"unknown platform {platform!r}")
-
-
 def chatter_volume_multiplier(day: _dt.date) -> float:
     """How much migration chatter there is relative to the post-takeover peak."""
     if day < TAKEOVER_DATE - _dt.timedelta(days=1):

@@ -5,7 +5,7 @@ per draw, one object per post, in one serial loop.  This module splits the
 phase at the dataset boundary:
 
 **Stage A — plan (sharded, pure).**  :func:`plan_shard` and
-:func:`chatter_shard` run on :class:`repro.parallel.WorldShardRunner`
+:func:`chatter_shard` run on :func:`repro.parallel.map_world_stage`
 shards with per-(stage, shard) derived seeds.  Each shard batches every
 draw per *column* (per-day poisson counts, topic indices, toxicity and
 decision uniforms) via :mod:`repro.util.rngcompat`-style vector kernels,
@@ -13,7 +13,7 @@ generates all post texts per (platform, topic) group through
 :meth:`PostGenerator.generate_batch`, and returns post accumulator columns
 (:class:`repro.simulation.state.AgentPlan`).  Shards only *read* the world
 — the payload is a pure function of (world, stage, shard, seed), which is
-what makes the result worker-count invariant.
+what makes the result independent of the shard execution order.
 
 **Stage B — apply (serial, at the dataset boundary).**  :func:`apply_plans`
 walks the payloads in shard order (= canonical migration order) and only

@@ -13,12 +13,13 @@
    only the *hits* walking the object-graph migration path.
 
 2. **Content materialisation** (after the dynamics): planned on
-   :class:`repro.parallel.WorldShardRunner` shards as post accumulator
-   columns (:mod:`repro.simulation.materialise`), then applied serially at
-   the dataset boundary — the only place ``Tweet``/``Status`` objects are
-   created.  Nothing in the dynamics depends on post *content*, and a
-   shard's plan is a pure function of the frozen dynamics state, which is
-   what makes the generated dataset byte-identical at any worker count.
+   :func:`repro.parallel.map_world_stage` shards as post accumulator
+   columns (:mod:`repro.simulation.materialise`), then applied in shard
+   order at the dataset boundary — the only place ``Tweet``/``Status``
+   objects are created.  Nothing in the dynamics depends on post
+   *content*, and a shard's plan is a pure function of the frozen dynamics
+   state, so the generated dataset does not depend on the order the
+   shards run in.
 
 Finally, crawl-time failure states are planted: suspended / deactivated /
 protected Twitter accounts and downed instances, with the paper's rates.
@@ -56,28 +57,12 @@ from repro.simulation.switching import SwitchModel
 
 
 class World:
-    """A fully-built synthetic world ready for collection.
+    """A fully-built synthetic world ready for collection."""
 
-    ``workers``/``backend`` configure the materialisation planning stages
-    (:class:`repro.parallel.WorldShardRunner`); the generated world is
-    byte-identical for any setting — parallelism is purely a scheduling
-    concern, exactly as in the collection engine.
-    """
-
-    def __init__(
-        self,
-        config: SimConfig,
-        *,
-        workers: int = 1,
-        backend: str = "serial",
-        shard_count: int | None = None,
-    ) -> None:
+    def __init__(self, config: SimConfig) -> None:
         config.validate()
         self.config = config
         self.rng = RngTree(config.seed)
-        self._workers = workers
-        self._backend = backend
-        self._shard_count = shard_count if shard_count is not None else SHARD_COUNT
 
         self.twitter_store = TwitterStore()
         self.twitter_graph = FollowGraph()
@@ -271,15 +256,14 @@ class World:
         Row order is candidate order; the shard bounds and the per-shard
         generators (seeded ``derive_seed(seed, seed, "world.contagion",
         shard)``) persist across ticks, so each shard consumes one named
-        stream for the whole window — the same schedule a sharded dynamics
-        worker would see, which keeps the contagion draws worker-count
-        invariant by construction.
+        stream for the whole window, the same schedule whatever order the
+        shards were drawn in.
         """
         if self._columns is None:
             from repro.simulation.state import AgentColumns
 
             self._columns = AgentColumns.from_world(self)
-            self._dyn_bounds = partition_bounds(self._columns.n, self._shard_count)
+            self._dyn_bounds = partition_bounds(self._columns.n, SHARD_COUNT)
             seed = self.config.seed
             self._dyn_rngs = [
                 np.random.default_rng(
@@ -510,22 +494,22 @@ class World:
     def _materialise_content(self) -> None:
         """Plan timelines on shards, then apply them at the dataset boundary.
 
-        Stage A (``world.materialise`` / ``world.chatter``) runs on the
-        :class:`~repro.parallel.WorldShardRunner`: migrants in migration
+        Stage A (``world.materialise`` / ``world.chatter``) runs on
+        :func:`~repro.parallel.map_world_stage`: migrants in migration
         order and chatterers in id order, partitioned into contiguous
         shards, each planning its agents' full timelines as post
         accumulator columns with a per-(stage, shard) derived seed.  Stage
         B (:func:`repro.simulation.materialise.apply_plans`) walks the
         payloads serially in shard order — the canonical agent order — so
         id assignment, timeline insertion and boost resolution happen
-        exactly once, in one order, regardless of worker count.
+        exactly once, in one order.
         """
         from repro import obs
-        from repro.parallel import WorldShardRunner
-        from repro.simulation.materialise import apply_plans
+        from repro.parallel.engine import map_world_stage
+        from repro.simulation.materialise import apply_plans, chatter_shard, plan_shard
 
         events = obs.current().events
-        # frozen before the runner forks: shard payloads may read it
+        # frozen before the first shard runs: shard payloads read it
         self._migrant_handles = [
             a.first_acct for a in self.migrants if a.first_acct is not None
         ]
@@ -535,21 +519,13 @@ class World:
             self.migrated_ids,
             key=lambda uid: (self.agents[uid].migration_day, uid),
         )
-        with WorldShardRunner(
-            self,
-            seed=self.config.seed,
-            workers=self._workers,
-            backend=self._backend,
-            shard_count=self._shard_count,
-        ) as runner:
-            payloads = runner.map_stage(
-                "world.materialise", "repro.simulation.materialise:plan_shard", ordered
-            )
-            chatter_payloads = runner.map_stage(
-                "world.chatter",
-                "repro.simulation.materialise:chatter_shard",
-                list(self.chatter_ids),
-            )
+        seed = self.config.seed
+        payloads = map_world_stage(
+            self, "world.materialise", plan_shard, ordered, seed=seed
+        )
+        chatter_payloads = map_world_stage(
+            self, "world.chatter", chatter_shard, list(self.chatter_ids), seed=seed
+        )
         apply_plans(self, payloads, chatter_payloads, events)
 
     def _boost_candidate(self, agent: SimUser, rng: np.random.Generator):
@@ -680,21 +656,10 @@ class World:
             downed_users += populations[domain]
 
 
-def build_world(
-    config: SimConfig | None = None,
-    *,
-    workers: int = 1,
-    backend: str = "serial",
-    shard_count: int | None = None,
-) -> World:
-    """Build and simulate a world in one call.
-
-    The supported form takes a validated :class:`SimConfig`::
+def build_world(config: SimConfig | None = None) -> World:
+    """Build and simulate a world in one call::
 
         build_world(SimConfig(seed=1, scale=0.005, contagion_weight=0.0))
-
-    ``workers``/``backend`` configure the sharded materialisation planner;
-    the dataset is byte-identical for any setting.
     """
     from repro import obs
 
@@ -716,12 +681,7 @@ def build_world(
     try:
         with registry.span("build_world") as span:
             with registry.span("world.init"):
-                world = World(
-                    config,
-                    workers=workers,
-                    backend=backend,
-                    shard_count=shard_count,
-                )
+                world = World(config)
             with registry.span("world.simulate"):
                 world.simulate()
             span.annotate(

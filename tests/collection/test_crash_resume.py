@@ -3,8 +3,8 @@
 ``run_pipeline(checkpoint_path=...)`` writes the cursor plus a dataset
 snapshot after every completed stage.  These tests kill the run inside a
 sharded stage (by making the shard engine raise), resume from the
-checkpoint — at several worker counts — and assert the finished dataset
-is byte-for-byte the golden from-scratch one.  Shard work and fault
+checkpoint and assert the finished dataset is byte-for-byte the golden
+from-scratch one.  Shard work and fault
 streams are keyed by per-(stage, shard) derived seeds, never by wall
 progress, which is what makes this hold.
 """
@@ -54,10 +54,10 @@ class _CrashAt:
     def __init__(self, monkeypatch, stage: str) -> None:
         real = ShardEngine.map_stage
 
-        def boom(engine, name, fn_path, items):
+        def boom(engine, name, fn, items):
             if name == stage:
                 raise RuntimeError(f"simulated crash in {name}")
-            return real(engine, name, fn_path, items)
+            return real(engine, name, fn, items)
 
         monkeypatch.setattr(ShardEngine, "map_stage", boom)
 
@@ -103,16 +103,11 @@ def test_crash_leaves_a_valid_frontier(crashed_checkpoint):
     assert cursor.state.users
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_resume_is_byte_identical(
-    world, crashed_checkpoint, tmp_path, workers
-):
-    """Resuming the killed run finishes on the golden bytes, any workers."""
+def test_resume_is_byte_identical(world, crashed_checkpoint, tmp_path):
+    """Resuming the killed run finishes on the golden bytes."""
     path = _copy_checkpoint(crashed_checkpoint, tmp_path)
     dataset, cursor = run_pipeline(
-        world,
-        CollectionConfig(clock=CLOCK, workers=workers),
-        checkpoint_path=path,
+        world, CollectionConfig(clock=CLOCK), checkpoint_path=path
     )
     assert dataset_sha256(dataset) == GOLDEN_SHA
     assert cursor is not None and cursor.clock == CLOCK

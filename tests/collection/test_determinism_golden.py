@@ -23,9 +23,10 @@ simulation's draw schedule per (stage, shard) column instead of per agent
 per day, which deliberately bends the draw-order contract (word order
 within posts, per-tick contagion synchronisation, boost-candidate
 sampling via partial Fisher-Yates).  Both digests were re-recorded at
-both scales; the replacement equivalence proof is worker-count
-invariance — serial, 2-worker and 4-worker builds reproduce these exact
-bytes (``tests/simulation/test_world_sharded.py``).
+both scales; the replacement equivalence proof is that the sharded build
+reproduces these exact bytes (``tests/simulation/test_world_sharded.py``)
+and that its shard payloads do not depend on the order the shards run in
+(``tests/parallel/test_schedule_independence.py``).
 """
 
 from __future__ import annotations

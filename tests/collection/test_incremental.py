@@ -4,8 +4,8 @@
 seed-7 scale-0.002 dataset JSON at three consecutive observer clocks,
 captured from *from-scratch* clocked collections.  The tests assert that
 
-- a from-scratch clocked run still reproduces those bytes at every
-  worker count (the clock plane does not perturb determinism), and
+- a from-scratch clocked run still reproduces those bytes (the clock
+  plane does not perturb determinism), and
 - :func:`repro.incremental.advance` reaches the *same* bytes by crawling
   only the delta — the headline byte-identity contract of the
   incremental PR.
@@ -88,13 +88,10 @@ class TestGoldenByteIdentity:
             # the golden days were picked to have a non-trivial delta
             assert delta.twitter_changed and delta.mastodon_changed
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_from_scratch_worker_invariant(self, world, workers):
-        """Clocked collection reproduces golden bytes at any worker count."""
+    def test_from_scratch_matches_golden(self, world):
+        """A clocked collection from scratch reproduces the golden bytes."""
         clock = CLOCKS[-1]
-        dataset, _ = collect_with_cursor(
-            world, CollectionConfig(clock=clock, workers=workers)
-        )
+        dataset, _ = collect_with_cursor(world, CollectionConfig(clock=clock))
         assert dataset_sha256(dataset) == GOLDEN["sha256"][clock.isoformat()]
 
 

@@ -14,7 +14,7 @@ from repro.obs.traceexport import (
 
 
 def _shard_registry(stage: str, index: int) -> MetricsRegistry:
-    """A finished shard run, the way ShardEngine workers produce one."""
+    """A finished shard run, the way ShardEngine.run_shard produces one."""
     registry = MetricsRegistry()
     with registry.span(f"collect.{stage}.shard") as span:
         span.annotate(shard=index, stage=stage, items=3)

