@@ -3,9 +3,9 @@
 ``run_pipeline(checkpoint_path=...)`` writes the cursor plus a dataset
 snapshot after every completed stage.  These tests kill the run inside a
 sharded stage (by making the shard engine raise), resume from the
-checkpoint and assert the finished dataset is byte-for-byte the golden
-from-scratch one.  Shard work and fault
-streams are keyed by per-(stage, shard) derived seeds, never by wall
+checkpoint — with the resumed stages' shards run one round-robin lane of
+1, 2 or 4 crawlers after another — and assert the finished dataset is
+byte-for-byte the golden from-scratch one.  Shard work and fault streams are keyed by per-(stage, shard) derived seeds, never by wall
 progress, which is what makes this hold.
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.collection.cursor import load_cursor
+from repro.collection.cursor import SHARDED_STAGES, load_cursor
 from repro.collection.pipeline import (
     CollectionConfig,
     checkpoint_dataset_path,
@@ -29,6 +29,7 @@ from repro.incremental import dataset_sha256
 from repro.parallel.engine import ShardEngine
 from repro.simulation.config import SimConfig
 from repro.simulation.world import build_world
+from tests.parallel.schedule import crawler_lanes, patch_collection_schedule
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "data" / "golden_incremental.json"
@@ -103,12 +104,18 @@ def test_crash_leaves_a_valid_frontier(crashed_checkpoint):
     assert cursor.state.users
 
 
-def test_resume_is_byte_identical(world, crashed_checkpoint, tmp_path):
-    """Resuming the killed run finishes on the golden bytes."""
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_resume_is_byte_identical(
+    world, crashed_checkpoint, tmp_path, monkeypatch, workers
+):
+    """Resuming the killed run finishes on the golden bytes, any schedule."""
     path = _copy_checkpoint(crashed_checkpoint, tmp_path)
+    ran = patch_collection_schedule(monkeypatch, crawler_lanes, workers)
     dataset, cursor = run_pipeline(
         world, CollectionConfig(clock=CLOCK), checkpoint_path=path
     )
+    # tweet_search completed before the crash; the rest of the crawl resumes
+    assert ran == list(SHARDED_STAGES[1:])
     assert dataset_sha256(dataset) == GOLDEN_SHA
     assert cursor is not None and cursor.clock == CLOCK
     # the on-disk checkpoint now records the completed run

@@ -4,8 +4,9 @@
 seed-7 scale-0.002 dataset JSON at three consecutive observer clocks,
 captured from *from-scratch* clocked collections.  The tests assert that
 
-- a from-scratch clocked run still reproduces those bytes (the clock
-  plane does not perturb determinism), and
+- a from-scratch clocked run still reproduces those bytes, also with the
+  shards run one round-robin lane of 2 or 4 crawlers after another (the
+  clock plane does not perturb determinism), and
 - :func:`repro.incremental.advance` reaches the *same* bytes by crawling
   only the delta — the headline byte-identity contract of the
   incremental PR.
@@ -25,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.collection.cursor import (
+    SHARDED_STAGES,
     CrawlCursor,
     config_digest,
     cursor_to_doc,
@@ -40,6 +42,7 @@ from repro.faults import FaultPlan
 from repro.incremental import advance, collect_with_cursor, dataset_sha256
 from repro.simulation.config import SimConfig
 from repro.simulation.world import build_world
+from tests.parallel.schedule import crawler_lanes, patch_collection_schedule
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent / "data" / "golden_incremental.json"
@@ -92,6 +95,15 @@ class TestGoldenByteIdentity:
         """A clocked collection from scratch reproduces the golden bytes."""
         clock = CLOCKS[-1]
         dataset, _ = collect_with_cursor(world, CollectionConfig(clock=clock))
+        assert dataset_sha256(dataset) == GOLDEN["sha256"][clock.isoformat()]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_from_scratch_worker_invariant(self, world, monkeypatch, workers):
+        """Clocked collection reproduces golden bytes on any crawler schedule."""
+        clock = CLOCKS[-1]
+        ran = patch_collection_schedule(monkeypatch, crawler_lanes, workers)
+        dataset, _ = collect_with_cursor(world, CollectionConfig(clock=clock))
+        assert ran == list(SHARDED_STAGES)
         assert dataset_sha256(dataset) == GOLDEN["sha256"][clock.isoformat()]
 
 
