@@ -34,7 +34,7 @@ from repro import obs
 from repro.collection.dataset import MigrationDataset
 from repro.collection.pipeline import CollectionConfig, collect_dataset
 from repro.faults import FaultPlan
-from repro.obs.bench_report import append_history_row
+from repro.obs.bench_report import append_history_row, merge_pipeline_sections
 from repro.simulation.config import SimConfig
 from repro.simulation.world import World, build_world
 
@@ -145,8 +145,12 @@ def _history_stages(registry: obs.MetricsRegistry) -> dict[str, dict]:
 
 
 def _write_pipeline_artifact(registry: obs.MetricsRegistry) -> None:
-    """Persist the session's stage timings as the perf-trajectory artifact."""
-    payload = {
+    """Persist the session's stage timings as the perf-trajectory artifact.
+
+    Sections recorded by earlier sessions at the same seed and scale are
+    kept, so running one bench file refreshes only its own sections.
+    """
+    merge_pipeline_sections(BENCH_ARTIFACT, {
         "seed": BENCH_SEED,
         "scale": BENCH_SCALE,
         "stages": _stage_rows(registry),
@@ -157,8 +161,7 @@ def _write_pipeline_artifact(registry: obs.MetricsRegistry) -> None:
         "simulated_wait_seconds": registry.counter_total(
             "twitter.ratelimit.wait_seconds"
         ),
-    }
-    BENCH_ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    })
     _append_history_row(registry)
 
 
@@ -193,12 +196,12 @@ def record_hotpath(name: str, wall_seconds: float, **meta) -> None:
     (depend on ``bench_dataset``), so hot paths land in the same file the
     stage timings do.
     """
-    payload = json.loads(BENCH_ARTIFACT.read_text())
     entry: dict = {"wall_seconds": round(wall_seconds, 4)}
     if meta:
         entry["meta"] = meta
-    payload.setdefault("hotpaths", {})[name] = entry
-    BENCH_ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    hotpaths = json.loads(BENCH_ARTIFACT.read_text()).get("hotpaths", {})
+    hotpaths[name] = entry
+    merge_pipeline_sections(BENCH_ARTIFACT, {"hotpaths": hotpaths})
 
 
 def record_analysis(section: dict) -> None:
@@ -210,9 +213,7 @@ def record_analysis(section: dict) -> None:
     CI job gates on the recorded speedup.  The base artifact must exist
     first (depend on ``bench_dataset``).
     """
-    payload = json.loads(BENCH_ARTIFACT.read_text())
-    payload["analysis"] = section
-    BENCH_ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    merge_pipeline_sections(BENCH_ARTIFACT, {"analysis": section})
 
 
 def record_parallel(section: dict) -> None:
@@ -222,9 +223,7 @@ def record_parallel(section: dict) -> None:
     4-worker round-robin makespan and the collection's wall time; the base
     artifact must exist first (depend on ``bench_dataset``).
     """
-    payload = json.loads(BENCH_ARTIFACT.read_text())
-    payload["parallel"] = section
-    BENCH_ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    merge_pipeline_sections(BENCH_ARTIFACT, {"parallel": section})
 
 
 def record_serving(section: dict) -> None:
@@ -240,9 +239,7 @@ def record_serving(section: dict) -> None:
     """
     from repro.serving.bench import history_stages
 
-    payload = json.loads(BENCH_ARTIFACT.read_text())
-    payload["serving"] = section
-    BENCH_ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    merge_pipeline_sections(BENCH_ARTIFACT, {"serving": section})
     if os.environ.get("REPRO_BENCH_NO_HISTORY") == "1":
         return
     row = {
@@ -269,9 +266,7 @@ def record_incremental(section: dict) -> None:
     trailing median — independently of the pipeline rows.  The base
     artifact must exist first (depend on ``bench_dataset``).
     """
-    payload = json.loads(BENCH_ARTIFACT.read_text())
-    payload["incremental"] = section
-    BENCH_ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    merge_pipeline_sections(BENCH_ARTIFACT, {"incremental": section})
     if os.environ.get("REPRO_BENCH_NO_HISTORY") == "1":
         return
     stages = {
@@ -309,8 +304,7 @@ def _append_faulted_section(
     registry: obs.MetricsRegistry, dataset: MigrationDataset
 ) -> None:
     """Record the faulted session alongside the baseline in the artifact."""
-    payload = json.loads(BENCH_ARTIFACT.read_text())
-    payload["faulted"] = {
+    faulted = {
         "scenario": "paper-section-3.2",
         "seed": BENCH_SEED,
         "stages": _stage_rows(registry),
@@ -328,4 +322,4 @@ def _append_faulted_section(
             "unreachable": dataset.mastodon_coverage.unreachable,
         },
     }
-    BENCH_ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
+    merge_pipeline_sections(BENCH_ARTIFACT, {"faulted": faulted})

@@ -2,15 +2,12 @@
 
 The simulation is the substrate every experiment stands on; these benches
 track its cost at a small scale so regressions in the daily loop or the
-content materialiser show up.  The plan-mode bench tracks the columnar
-engine that the scale bench (``python -m repro.simulation.scalebench``)
-runs at paper scale.
+content materialiser show up.  The scale bench (``python -m
+repro.simulation.scalebench``) records the same build at larger scales,
+each in a fresh process.
 """
 
-import pytest
-
 from repro.simulation.config import SimConfig
-from repro.simulation.state import plan_world
 from repro.simulation.world import World, build_world
 
 
@@ -38,11 +35,3 @@ def test_bench_world_dynamics_only(benchmark):
     world = benchmark.pedantic(dynamics, rounds=3, iterations=1)
     assert world.migrated_ids
 
-
-def test_bench_world_plan_mode(benchmark):
-    """The all-columns plan build at 10x the object-bench scale."""
-    plan = benchmark.pedantic(
-        lambda: plan_world(SimConfig(seed=31, scale=0.01)), rounds=3, iterations=1
-    )
-    assert plan.migrants > 200
-    assert plan.tweets_planned > plan.migrants

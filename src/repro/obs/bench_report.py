@@ -29,6 +29,8 @@ Rows that carry ``memory_ceiling_bytes`` (the worldgen scale bench,
 :mod:`repro.simulation.scalebench`) additionally assert an *absolute*
 budget: ``--check`` fails when any such row's stage peaks above its own
 recorded ceiling, whatever the trailing median says.
+
+:func:`merge_pipeline_sections` is the one writer of ``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
@@ -73,6 +75,30 @@ def append_history_row(path: str | Path, row: dict) -> None:
     """Append one summary row (a JSON object per line, append-only)."""
     with Path(path).open("a") as fh:
         fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+#: ``BENCH_pipeline.json`` sections whose rows carry their own seed and
+#: scale, so they stay valid whichever session wrote the rest of the file
+SELF_DESCRIBED_SECTIONS = ("worldgen_scale",)
+
+
+def merge_pipeline_sections(path: str | Path, sections: dict) -> None:
+    """Read-merge-write top-level sections of ``BENCH_pipeline.json``.
+
+    The one writer of the snapshot: every bench that records a section
+    goes through it, so recording one section never drops another.  When
+    ``sections`` carries a ``seed`` or ``scale`` (a session's base
+    payload) that differs from the file's, the file's sections describe
+    another session and are dropped, except :data:`SELF_DESCRIBED_SECTIONS`.
+    """
+    path = Path(path)
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    if any(payload.get(key) != value
+           for key, value in sections.items() if key in ("seed", "scale")):
+        payload = {key: payload[key] for key in SELF_DESCRIBED_SECTIONS
+                   if key in payload}
+    payload.update(sections)
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _trailing(

@@ -19,7 +19,7 @@ from repro.simulation.contagion import ContagionModel
 from repro.simulation.events import EventTimeline
 from repro.simulation.instance_choice import InstanceChooser
 from repro.simulation.population import InstanceSpec, SimUser
-from repro.simulation.state import AgentColumns, WorldPlan, plan_world
+from repro.simulation.state import AgentColumns
 from repro.simulation.switching import SwitchModel
 from repro.simulation.trends import TrendsService
 from repro.simulation.validation import ValidationReport, validate
@@ -33,10 +33,8 @@ __all__ = [
     # world construction
     "World",
     "build_world",
-    # columnar state / plan-mode scaling
+    # columnar dynamics state
     "AgentColumns",
-    "WorldPlan",
-    "plan_world",
     # component models
     "ContagionModel",
     "EventTimeline",

@@ -40,36 +40,30 @@ def mastodon_topic_mixture(agent: SimUser, days_since_migration: int) -> np.ndar
     return mixture / mixture.sum()
 
 
-def twitter_daily_rate(agent: SimUser, day: _dt.date) -> float:
-    """Tweets/day.  Migrated users keep using Twitter (Figure 11): a mild
-    taper only, even after they migrate."""
-    rate = agent.tweet_rate
-    if agent.migrated and agent.migration_day is not None and day >= agent.migration_day:
-        rate *= 0.9
-    return rate
+def twitter_daily_rates(tweet_rate: float, mig_idx: int, day_nums: np.ndarray) -> np.ndarray:
+    """Expected tweets per study day.  Migrated users keep using Twitter
+    (Figure 11): a mild taper only, from the migration day ``mig_idx`` on."""
+    lam_tw = np.full(len(day_nums), tweet_rate)
+    lam_tw[mig_idx:] *= 0.9
+    return lam_tw
 
 
-def mastodon_daily_rate(agent: SimUser, day: _dt.date) -> float:
-    """Statuses/day; zero before migration, ramping in over the first days."""
-    if not agent.migrated or agent.migration_day is None or day < agent.migration_day:
-        return 0.0
-    if agent.status_rate <= 0.0:
-        return 0.0
-    days_in = (day - agent.migration_day).days
-    ramp = min(1.0, 0.45 + 0.11 * days_in)
-    return agent.status_rate * ramp
+def mastodon_daily_rates(status_rate: float, mig_idx: int, day_nums: np.ndarray) -> np.ndarray:
+    """Expected statuses per study day; zero before the migration day
+    ``mig_idx``, ramping in over the first days after it."""
+    ramp = np.minimum(1.0, 0.45 + 0.11 * (day_nums - mig_idx))
+    lam_ms = np.where(day_nums >= mig_idx, status_rate * ramp, 0.0)
+    return np.maximum(lam_ms, 0.0)
 
 
-def crossposter_active(rng: np.random.Generator, day: _dt.date) -> bool:
-    """Whether a cross-posting bridge still works on ``day``.
+def crossposter_success_rates(shutoff_idx: int, day_nums: np.ndarray) -> np.ndarray:
+    """Probability per study day that a cross-posting bridge still works.
 
-    Before the takeover the bridges existed but few used them; after the
-    shut-off their success rate decays day by day.
+    Bridges always work before the shut-off (day index ``shutoff_idx``);
+    after it their success rate decays day by day.
     """
-    if day < CROSSPOSTER_SHUTOFF:
-        return True
-    days_past = (day - CROSSPOSTER_SHUTOFF).days
-    return bool(rng.random() < max(0.05, 0.75 * (0.6**days_past)))
+    decay = np.maximum(0.05, 0.75 * (0.6 ** np.maximum(0, day_nums - shutoff_idx)))
+    return np.where(day_nums < shutoff_idx, 1.0, decay)
 
 
 def paraphrase(rng: np.random.Generator, text: str, vocabulary: Vocabulary) -> str:

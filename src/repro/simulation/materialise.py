@@ -37,7 +37,10 @@ from repro.nlp.generator import PostGenerator
 from repro.simulation.behavior import (
     CROSSPOSTER_SHUTOFF,
     chatter_volume_multiplier,
+    crossposter_success_rates,
+    mastodon_daily_rates,
     paraphrase,
+    twitter_daily_rates,
 )
 from repro.simulation.state import (
     STATUS_BOOST_SLOT,
@@ -88,11 +91,9 @@ def plan_shard(world, ctx, items: list[int]) -> list[AgentPlan]:
     rng = ctx.rng()
     generator = PostGenerator(rng, vocabulary=world._generator.vocabulary)
     config = world.config
-    days = list(date_range(config.start, config.end))
-    n_days = len(days)
-    day_nums = np.arange(n_days)
+    day_nums = np.arange((config.end - config.start).days + 1)
     shutoff_idx = (CROSSPOSTER_SHUTOFF - config.start).days
-    decay = np.maximum(0.05, 0.75 * (0.6 ** np.maximum(0, day_nums - shutoff_idx)))
+    bridge_ok = crossposter_success_rates(shutoff_idx, day_nums)
     n_topics = len(generator.vocabulary.topics)
 
     #: (platform, topic index) -> list of (sink, positions, toxic-slice)
@@ -115,13 +116,8 @@ def plan_shard(world, ctx, items: list[int]) -> list[AgentPlan]:
         twitter_cdf = build_cdf(agent.topic_mixture)
 
         # -- per-day counts, one poisson batch per platform ----------------
-        lam_tw = np.full(n_days, agent.tweet_rate)
-        lam_tw[mig_idx:] *= 0.9
-        n_tw = rng.poisson(lam_tw)
-        ramp = np.minimum(1.0, 0.45 + 0.11 * (day_nums - mig_idx))
-        lam_ms = np.where(day_nums >= mig_idx, agent.status_rate * ramp, 0.0)
-        lam_ms = np.maximum(lam_ms, 0.0)
-        n_ms = rng.poisson(lam_ms)
+        n_tw = rng.poisson(twitter_daily_rates(agent.tweet_rate, mig_idx, day_nums))
+        n_ms = rng.poisson(mastodon_daily_rates(agent.status_rate, mig_idx, day_nums))
 
         # -- announcement / bio --------------------------------------------
         announce = agent.announce_via == "tweet" or bool(rng.random() < 0.8)
@@ -173,7 +169,7 @@ def plan_shard(world, ctx, items: list[int]) -> list[AgentPlan]:
                 active = u_mirror.copy()
                 if len(need_decay):
                     active[need_decay] = (
-                        rng.random(len(need_decay)) < decay[ms_day[need_decay]]
+                        rng.random(len(need_decay)) < bridge_ok[ms_day[need_decay]]
                     )
                 kind[u_mirror & active] = STATUS_CROSSPOST
             non_cross = kind != STATUS_CROSSPOST

@@ -1,29 +1,31 @@
-"""Worldgen scaling bench: plan-mode builds at paper-sized scales.
+"""Worldgen scaling bench: the real ``build_world`` at a ladder of scales.
 
-The object world tops out around scale 0.05 on a laptop; the columnar
-plan mode (:func:`repro.simulation.plan_world`) runs the same contagion
-draw schedule on arrays only, which is what lets the engine's scaling
-envelope be *measured* at scale 1.0 (the paper's 136,009 matched
-migrants) instead of extrapolated.
+Each scale runs :func:`repro.simulation.build_world` — the build every
+experiment and every user runs — and records what it cost and what it
+built: wall seconds, peak RSS, candidates, migrants, tweets and statuses.
 
 Usage::
 
-    python -m repro.simulation.scalebench                 # 0.1 and 1.0
-    python -m repro.simulation.scalebench --scales 0.02,0.1,1.0
+    python -m repro.simulation.scalebench                 # 0.002 and 0.005
+    python -m repro.simulation.scalebench --scales 0.002,0.01
     python -m repro.simulation.scalebench --no-record     # print only
 
 Each scale contributes one row to the ``worldgen_scale`` section of
-``BENCH_pipeline.json`` and one ``worldgen.plan`` row per scale to
-``BENCH_history.jsonl`` — the same trajectory ``python -m
-repro.obs.bench_report --check`` gates.  Every recorded row carries the
-**memory ceiling** it was recorded under (``--memory-ceiling-mb``,
-default 512): the bench exits non-zero if a run's peak RSS crosses it,
-and ``bench_report --check`` re-validates the recorded rows, so a
-memory regression at scale 1.0 fails CI even though CI never runs the
-object world at that scale.
+``BENCH_pipeline.json`` and one ``kind: "worldgen"`` row with a
+``worldgen.build`` stage to ``BENCH_history.jsonl`` — the same trajectory
+``python -m repro.obs.bench_report --check`` gates, apart from the
+pipeline rows.  Every recorded row carries the **memory ceiling** it was
+recorded under (``--memory-ceiling-mb``, default 512): the bench exits
+non-zero if a build's peak RSS crosses it, and ``bench_report --check``
+re-validates the recorded rows.
+
+The default ladder stops at scale 0.005 (~320MB) because the object
+population does not fit the ceiling beyond it: scale 0.01 peaks at
+~604MB (Linux, 2-core box) and ``--scales 0.01`` exits 1 with
+``MEMORY CEILING EXCEEDED``.
 
 Each scale is built in a fresh interpreter (a ``spawn`` child) and its
-peak RSS is that child's own high-water mark (``VmHWM``): the plan plus
+peak RSS is that child's own high-water mark (``VmHWM``): the world plus
 the interpreter and its imports, never the memory of the process that
 launched the bench (a test session, a notebook).
 """
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
-import json
 import multiprocessing
 import resource
 import subprocess
@@ -41,13 +42,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from repro.obs.bench_report import append_history_row, default_history_path
+from repro.obs.bench_report import (
+    append_history_row,
+    default_history_path,
+    merge_pipeline_sections,
+)
 from repro.simulation.config import SimConfig
-from repro.simulation.state import plan_world
+from repro.simulation.world import build_world
 
-DEFAULT_SCALES = (0.1, 1.0)
-#: Recorded plan-mode memory budget; scale 1.0 measures ~230MB, so 512MB
-#: flags a ~2x blow-up while staying robust to allocator noise.
+#: the two golden scales; 0.01 (~604MB) is over the default ceiling
+DEFAULT_SCALES = (0.002, 0.005)
+#: Recorded memory budget of one build, interpreter included.
 DEFAULT_CEILING_MB = 512
 
 _REPO_ROOT = Path(__file__).resolve().parents[3]
@@ -89,50 +94,54 @@ def _peak_rss_bytes() -> int:
     return usage if sys.platform == "darwin" else usage * 1024
 
 
-def _build_row(seed: int, scale: float, shard_count: int | None) -> dict:
-    kwargs = {} if shard_count is None else {"shard_count": shard_count}
+def _build_row(seed: int, scale: float) -> dict:
     started = time.perf_counter()
-    plan = plan_world(SimConfig(seed=seed, scale=scale), **kwargs)
+    world = build_world(SimConfig(seed=seed, scale=scale))
     wall = time.perf_counter() - started
+    peak = _peak_rss_bytes()
+    statuses = sum(
+        instance.status_count(account.username)
+        for instance in world.network.instances()
+        for account in instance.accounts()
+    )
     return {
         "scale": scale,
         "seed": seed,
         "wall_seconds": round(wall, 4),
-        "peak_rss_bytes": _peak_rss_bytes(),
-        "agents": plan.agents,
-        "migrants": plan.migrants,
-        "tweets_planned": plan.tweets_planned,
-        "statuses_planned": plan.statuses_planned,
-        "column_bytes": plan.column_bytes,
+        "peak_rss_bytes": peak,
+        "agents": len(world.candidate_ids),
+        "migrants": len(world.migrants),
+        "tweets": world.twitter_store.tweet_count,
+        "statuses": statuses,
     }
 
 
-def run_scale(seed: int, scale: float, shard_count: int | None = None) -> dict:
-    """One plan-mode build in a fresh child process; returns its row."""
+def run_scale(seed: int, scale: float) -> dict:
+    """One ``build_world`` in a fresh child process; returns its row."""
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-        return pool.submit(_build_row, seed, scale, shard_count).result()
+        return pool.submit(_build_row, seed, scale).result()
 
 
 def record_pipeline_section(rows: list[dict], ceiling_bytes: int,
                             path: Path = PIPELINE_ARTIFACT) -> None:
     """Merge the rows into BENCH_pipeline.json's ``worldgen_scale`` key."""
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["worldgen_scale"] = {
+    merge_pipeline_sections(path, {"worldgen_scale": {
         "memory_ceiling_bytes": ceiling_bytes,
-        "mode": "plan",
+        "mode": "build",
         "rows": rows,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    }})
 
 
 def record_history_rows(rows: list[dict], ceiling_bytes: int,
                         path: str | Path) -> None:
-    """One ``worldgen.plan`` trajectory row per scale.
+    """One ``kind: "worldgen"`` trajectory row per scale.
 
-    The rows carry ``memory_ceiling_bytes`` so ``bench_report --check``
-    can enforce the absolute budget in addition to its relative
-    trailing-median gates.
+    The kind keeps these rows out of the pipeline trajectory, so a
+    scalebench run never becomes the latest pipeline row the gate
+    compares.  The rows carry ``memory_ceiling_bytes`` so
+    ``bench_report --check`` can enforce the absolute budget in addition
+    to its relative trailing-median gates.
     """
     now = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
     sha = _git_sha()
@@ -142,9 +151,10 @@ def record_history_rows(rows: list[dict], ceiling_bytes: int,
             "git_sha": sha,
             "seed": row["seed"],
             "scale": row["scale"],
+            "kind": "worldgen",
             "memory_ceiling_bytes": ceiling_bytes,
             "stages": {
-                "worldgen.plan": {
+                "worldgen.build": {
                     "wall_seconds": row["wall_seconds"],
                     "peak_rss_bytes": row["peak_rss_bytes"],
                 },
@@ -157,9 +167,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--scales", type=str, default=",".join(
         str(s) for s in DEFAULT_SCALES))
-    parser.add_argument("--shards", type=int, default=None,
-                        help="shard count for the per-(stage, shard) seed "
-                             "derivation (default: the engine's)")
     parser.add_argument("--memory-ceiling-mb", type=float,
                         default=DEFAULT_CEILING_MB,
                         help="absolute peak-RSS budget recorded with each "
@@ -183,13 +190,12 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = []
     for scale in scales:
-        row = run_scale(args.seed, scale, shard_count=args.shards)
+        row = run_scale(args.seed, scale)
         rows.append(row)
         print(f"scale {scale:g}: {row['wall_seconds']:.2f}s  "
               f"rss {row['peak_rss_bytes'] / 1_048_576:.0f}MB  "
               f"agents {row['agents']}  migrants {row['migrants']}  "
-              f"tweets {row['tweets_planned']}  "
-              f"statuses {row['statuses_planned']}")
+              f"tweets {row['tweets']}  statuses {row['statuses']}")
 
     if not args.no_record:
         record_pipeline_section(rows, ceiling_bytes)

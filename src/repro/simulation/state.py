@@ -1,42 +1,33 @@
 """Columnar agent and post state for the simulation core.
 
 The world's daily dynamics and content materialisation used to walk one
-Python object per agent per tick.  This module holds the same state as
+Python object per agent per tick.  This module holds the per-tick state as
 numpy columns — the ``repro.frames.tables`` idiom applied to the
 simulation side — so contagion and posting draws batch per tick via
 :mod:`repro.util.rngcompat` instead of running one scalar RNG call per
 agent:
 
-- :class:`AgentColumns` — per-candidate arrays (activity rates, ideology,
-  followee degree, candidate->candidate CSR offsets, migration status,
-  instance id) mirroring the object world during a full build, or standing
-  alone in *plan mode*;
-- :class:`AgentPlan` — one migrant's planned timeline as post accumulator
-  columns (day/seq/kind/text/token columns for tweets and statuses), the
-  payload a materialisation shard ships back to the parent;
-- :func:`plan_world` — the fully-columnar *plan mode* used by the
-  scale-0.1/1.0 benchmark rows: population, contagion and posting volumes
-  are simulated on arrays only, without ``Tweet``/``Status``/``SimUser``
-  objects, which is what makes scale 1.0 (~231k candidates) fit in memory.
+- :class:`AgentColumns` — the per-candidate arrays the contagion reads
+  (ideology, followee degree, migration status, migrated-followee count),
+  extracted from the built population and advanced by the world's tick
+  loop; the ``SimUser`` objects and the ``FollowGraph`` stay the
+  authoritative population and follow graph;
+- :class:`AgentPlan` / :class:`ChatterPlan` — one agent's planned timeline
+  as post accumulator columns (day/seq/kind/text/token columns for tweets
+  and statuses), the payload a materialisation shard hands to the serial
+  apply step.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from repro.parallel.sharding import SHARD_COUNT, derive_seed, partition_bounds
-from repro.util.clock import date_range
-from repro.util.rng import RngTree
 
 __all__ = [
     "AgentColumns",
     "AgentPlan",
     "ChatterPlan",
-    "WorldPlan",
-    "plan_world",
 ]
 
 
@@ -49,33 +40,20 @@ class AgentColumns:
 
     Row order is candidate order (``World.candidate_ids``, ascending user
     id), which is also the shard partition order: contiguous row slices are
-    contiguous candidate slices.  During a full (object) build the dynamic
-    columns mirror the authoritative ``SimUser`` objects; in plan mode they
-    *are* the state.
+    contiguous candidate slices.  The dynamic columns mirror the
+    authoritative ``SimUser`` objects.
     """
 
     #: candidate user ids, row-aligned with every other column
     uids: np.ndarray
-    #: user id -> row index (None until first use; plan mode never needs it)
     ideology: np.ndarray
-    engagement: np.ndarray
-    tweet_rate: np.ndarray
-    status_rate: np.ndarray
     #: total followee degree on Twitter (hubs and general population included)
     degree: np.ndarray
     #: migration status per row
     migrated: np.ndarray
     #: count of migrated followees per row (incremental contagion state)
     migrated_followees: np.ndarray
-    #: chosen instance id per row (-1 before migration; plan mode only
-    #: assigns it, the object world keeps the authoritative string domain)
-    instance_id: np.ndarray
-    #: candidate->candidate followee CSR (plan mode; empty in object mode)
-    fwd_indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
-    fwd_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
-    #: candidate->candidate follower CSR (reverse edges)
-    rev_indptr: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
-    rev_indices: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+    #: user id -> row index (None until first use)
     _row_of: dict[int, int] | None = None
 
     @property
@@ -95,14 +73,6 @@ class AgentColumns:
         out[self.degree == 0] = 0.0
         return out
 
-    def column_bytes(self) -> int:
-        """Total bytes held by the columns (the memory-ceiling accounting)."""
-        total = 0
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-        return total
-
     @classmethod
     def from_world(cls, world) -> "AgentColumns":
         """Extract the columns from a built object world (row = candidate)."""
@@ -111,29 +81,19 @@ class AgentColumns:
         uids = np.asarray(world.candidate_ids, dtype=np.int64)
         n = len(uids)
         ideology = np.empty(n)
-        engagement = np.empty(n)
-        tweet_rate = np.empty(n)
-        status_rate = np.empty(n)
         degree = np.empty(n, dtype=np.int32)
         migrated = np.zeros(n, dtype=bool)
         for i, uid in enumerate(world.candidate_ids):
             agent = agents[uid]
             ideology[i] = agent.ideology
-            engagement[i] = agent.engagement
-            tweet_rate[i] = agent.tweet_rate
-            status_rate[i] = agent.status_rate
             degree[i] = graph.followee_count(uid)
             migrated[i] = agent.migrated
         return cls(
             uids=uids,
             ideology=ideology,
-            engagement=engagement,
-            tweet_rate=tweet_rate,
-            status_rate=status_rate,
             degree=degree,
             migrated=migrated,
             migrated_followees=np.zeros(n, dtype=np.int32),
-            instance_id=np.full(n, -1, dtype=np.int32),
         )
 
 
@@ -195,212 +155,3 @@ class ChatterPlan:
     tokens: list
     tags: list
     source: str
-
-
-# -- plan mode ---------------------------------------------------------------
-
-
-@dataclass
-class WorldPlan:
-    """The outcome of a fully-columnar plan-mode build.
-
-    Carries aggregate volumes (not objects): enough to benchmark the
-    engine's scaling and memory envelope, and to sanity-check the dynamics
-    against the object world at small scales.
-    """
-
-    config: object
-    columns: AgentColumns
-    migrants: int
-    #: migrations per tick (len == study days)
-    adoptions_by_tick: np.ndarray
-    #: population per instance id (directory order; self-hosting pooled last)
-    instance_population: np.ndarray
-    tweets_planned: int
-    statuses_planned: int
-    column_bytes: int
-
-    @property
-    def agents(self) -> int:
-        return self.columns.n
-
-
-def _plan_population(config, rng: np.random.Generator) -> AgentColumns:
-    """Candidate columns drawn directly as arrays (plan mode only).
-
-    Matches the :class:`~repro.simulation.population.PopulationBuilder`
-    marginals (lognormal degrees, engagement-tilted rates, beta candidate
-    share) without materialising ``SimUser`` objects or the object follow
-    graph; the candidate->candidate edges are sampled with replacement and
-    deduplicated, which preserves the degree distribution's shape at a
-    fraction of the wiring cost (documented in DESIGN.md §5).
-    """
-    n = config.n_at_risk
-    ideology = rng.beta(2.2, 1.6, size=n)
-    engagement = rng.beta(1.8, 3.4, size=n)
-    tweet_rate = np.clip(
-        rng.lognormal(np.log(config.tweet_rate_mean), 0.8, size=n)
-        * (0.3 + 1.4 * engagement),
-        0.05,
-        40.0,
-    )
-    status_rate = np.clip(
-        rng.lognormal(np.log(config.status_rate_mean), 0.7, size=n)
-        * (0.3 + 1.4 * engagement),
-        0.0,
-        30.0,
-    )
-    status_rate[rng.random(n) < config.lurker_fraction] = 0.0
-    degree = np.maximum(
-        1,
-        (
-            rng.lognormal(np.log(config.twitter_median_followees), config.twitter_followees_sigma, size=n)
-            * (0.35 + 1.3 * engagement)
-        ).astype(np.int64),
-    )
-    cand_share = np.clip(
-        config.at_risk_followee_share * 2.0 * rng.beta(3.0, 3.0, size=n), 0.0, 1.0
-    )
-    cand_degree = np.minimum((degree * cand_share).astype(np.int64), n - 1)
-
-    # forward CSR: sample with replacement, dedupe per row
-    fwd_indptr = np.zeros(n + 1, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    total = int(cand_degree.sum())
-    raw = rng.integers(0, n, size=total, dtype=np.int32)
-    offsets = np.concatenate(([0], np.cumsum(cand_degree)))
-    for i in range(n):
-        row = np.unique(raw[offsets[i]:offsets[i + 1]])
-        row = row[row != i]
-        chunks.append(row)
-        fwd_indptr[i + 1] = fwd_indptr[i] + len(row)
-    fwd_indices = (
-        np.concatenate(chunks).astype(np.int32) if chunks else np.zeros(0, np.int32)
-    )
-    # reverse CSR by counting sort over target rows
-    counts = np.bincount(fwd_indices, minlength=n)
-    rev_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=rev_indptr[1:])
-    order = np.argsort(fwd_indices, kind="stable")
-    sources = np.repeat(np.arange(n, dtype=np.int32), np.diff(fwd_indptr))
-    rev_indices = sources[order]
-
-    return AgentColumns(
-        uids=np.arange(n, dtype=np.int64),
-        ideology=ideology,
-        engagement=engagement,
-        tweet_rate=tweet_rate,
-        status_rate=status_rate,
-        degree=degree.astype(np.int32),
-        migrated=np.zeros(n, dtype=bool),
-        migrated_followees=np.zeros(n, dtype=np.int32),
-        instance_id=np.full(n, -1, dtype=np.int32),
-        fwd_indptr=fwd_indptr,
-        fwd_indices=fwd_indices,
-        rev_indptr=rev_indptr,
-        rev_indices=rev_indices,
-    )
-
-
-def plan_world(config, shard_count: int = SHARD_COUNT) -> WorldPlan:
-    """Run the whole simulation on columns only (no objects anywhere).
-
-    Uses the same per-(stage, shard) seed derivation as the full build
-    (``derive_seed(seed, seed, "world.contagion", shard)``), so the plan's
-    contagion draw schedule is worker-count invariant by construction.
-    Instance choice collapses to the preferential-attachment move over the
-    directory weights (the dominant move; the social/topic refinements need
-    the object network) and switching/rewiring micro-dynamics are skipped —
-    plan mode measures the engine's scaling envelope, not per-edge detail.
-    """
-    from repro.simulation.contagion import ContagionModel
-    from repro.simulation.events import EventTimeline
-    from repro.simulation.population import generate_instances
-
-    config.validate()
-    rng = RngTree(config.seed)
-    specs = generate_instances(config, rng.stream("instances"))
-    cols = _plan_population(config, rng.stream("population"))
-    timeline = EventTimeline()
-    model = ContagionModel(config, timeline, None, rng.stream("contagion"))
-
-    n = cols.n
-    days = list(date_range(config.start, config.end))
-    bounds = partition_bounds(n, shard_count)
-    shard_rngs = [
-        np.random.default_rng(
-            derive_seed(config.seed, config.seed, "world.contagion", s)
-        )
-        for s in range(len(bounds))
-    ]
-    weights = np.array([max(spec.weight, 1e-9) for spec in specs])
-    instance_counts = np.zeros(len(specs), dtype=np.int64)
-    adoptions = np.zeros(len(days), dtype=np.int64)
-    choice_rng = rng.stream("choice")
-
-    for tick, day in enumerate(days):
-        hazard = model.hazard_batch(
-            cols.ideology, cols.fraction_migrated_followees, day
-        )
-        new_rows: list[np.ndarray] = []
-        for s, (lo, hi) in enumerate(bounds):
-            alive = np.flatnonzero(~cols.migrated[lo:hi]) + lo
-            if len(alive) == 0:
-                continue
-            u = shard_rngs[s].random(len(alive))
-            hits = alive[u < hazard[alive]]
-            if len(hits):
-                new_rows.append(hits)
-        if not new_rows:
-            continue
-        rows = np.concatenate(new_rows)
-        adoptions[tick] = len(rows)
-        cols.migrated[rows] = True
-        # preferential instance choice over directory weight + population
-        pref = weights + instance_counts / max(1, instance_counts.sum() or 1)
-        cdf = np.cumsum(pref / pref.sum())
-        picks = np.searchsorted(cdf, choice_rng.random(len(rows)), side="right")
-        picks = np.minimum(picks, len(specs) - 1)
-        cols.instance_id[rows] = picks
-        np.add.at(instance_counts, picks, 1)
-        # followers' migrated-followee counters, in one scatter-add
-        followers = [
-            cols.rev_indices[cols.rev_indptr[r]:cols.rev_indptr[r + 1]] for r in rows
-        ]
-        if followers:
-            flat = np.concatenate(followers) if len(followers) > 1 else followers[0]
-            if len(flat):
-                np.add.at(cols.migrated_followees, flat, 1)
-
-    # posting volumes, batched per shard with per-(stage, shard) seeds
-    migrated_rows = np.flatnonzero(cols.migrated)
-    tweets = 0
-    statuses = 0
-    mat_rngs = [
-        np.random.default_rng(
-            derive_seed(config.seed, config.seed, "world.materialise", s)
-        )
-        for s in range(len(bounds))
-    ]
-    for s, (lo, hi) in enumerate(bounds):
-        rows = migrated_rows[(migrated_rows >= lo) & (migrated_rows < hi)]
-        if len(rows) == 0:
-            continue
-        srng = mat_rngs[s]
-        lam_tw = np.outer(cols.tweet_rate[rows], np.ones(len(days))) * 0.95
-        tweets += int(srng.poisson(lam_tw).sum())
-        ramp = np.minimum(1.0, 0.45 + 0.11 * np.arange(len(days)))
-        lam_ms = np.outer(cols.status_rate[rows], ramp) * 0.66
-        statuses += int(srng.poisson(lam_ms).sum())
-        del lam_tw, lam_ms
-
-    return WorldPlan(
-        config=config,
-        columns=cols,
-        migrants=int(cols.migrated.sum()),
-        adoptions_by_tick=adoptions,
-        instance_population=instance_counts,
-        tweets_planned=tweets,
-        statuses_planned=statuses,
-        column_bytes=cols.column_bytes(),
-    )

@@ -82,9 +82,7 @@ class World:
             self.twitter_store, self.twitter_graph
         )
 
-        self._contagion = ContagionModel(
-            config, self.timeline, self.twitter_graph, self.rng.stream("contagion")
-        )
+        self._contagion = ContagionModel(config, self.timeline)
         self._chooser = InstanceChooser(
             config, self.instance_specs, self.rng.stream("choice")
         )
@@ -95,8 +93,6 @@ class World:
         self._tweet_ids = SnowflakeGenerator(shard=2)
 
         self.migrated_ids: set[int] = set()
-        #: per-candidate count of migrated followees (incremental contagion state)
-        self._migrated_followee_count: dict[int, int] = {}
         #: per-candidate Counter of migrated followees' current instances
         self._followee_instances: dict[int, Counter] = {}
         #: per-agent migrated-followee lists for the boost picker; valid only
@@ -428,12 +424,10 @@ class World:
         domain = agent.current_instance
         cols = self._columns
         agents = self.agents
-        followee_count = self._migrated_followee_count
         followee_instances = self._followee_instances
         for follower_id in self.twitter_graph.followers_of(agent.user_id):
             follower = agents.get(follower_id)
             if follower is not None and follower.role == "candidate":
-                followee_count[follower_id] = followee_count.get(follower_id, 0) + 1
                 counts = followee_instances.get(follower_id)
                 if counts is None:
                     counts = Counter()

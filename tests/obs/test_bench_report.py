@@ -9,7 +9,9 @@ from repro.obs.bench_report import (
     format_history,
     load_history,
     main,
+    merge_pipeline_sections,
 )
+from repro.simulation import scalebench
 
 
 def _row(wall: float, scale: float = 0.01, rss: int = 100_000_000, **extra) -> dict:
@@ -254,6 +256,24 @@ class TestKindScopedGating:
         findings = check_regressions(rows)
         assert [f["kind"] for f in findings] == ["pipeline"]
 
+    def test_appending_worldgen_rows_keeps_the_pipeline_gated(self, tmp_path):
+        # scalebench rows land after the pipeline row at the same scale;
+        # their own kind keeps the regressed pipeline row the one gated
+        path = tmp_path / "h.jsonl"
+        for wall in (1.0, 1.0, 1.6):
+            append_history_row(path, _row(wall))
+        scalebench.record_history_rows(
+            [{"scale": 0.01, "seed": 7, "wall_seconds": 5.0,
+              "peak_rss_bytes": 1_000}],
+            ceiling_bytes=10_000, path=path,
+        )
+        rows = load_history(path)
+        assert rows[-1]["kind"] == "worldgen"
+        findings = check_regressions(rows)
+        assert [(f["kind"], f["stage"]) for f in findings] == [
+            ("pipeline", "collect_dataset")
+        ]
+
     def test_single_row_per_kind_passes(self):
         assert check_regressions([_row(1.0), _serving_row(0.001)]) == []
 
@@ -261,3 +281,47 @@ class TestKindScopedGating:
         text = format_history([_row(1.0), _serving_row(0.001)])
         assert "[serving]" in text
         assert "serving.search.p50" in text
+
+
+class TestPipelineArtifact:
+    BASE = {"seed": 7, "scale": 0.01, "stages": [{"name": "build_world"}]}
+    WORLDGEN = {"mode": "build", "rows": [{"scale": 0.002, "seed": 7}]}
+
+    def _seeded(self, tmp_path):
+        path = tmp_path / "BENCH_pipeline.json"
+        merge_pipeline_sections(path, self.BASE)
+        merge_pipeline_sections(path, {"analysis": {"speedup": 3.0}})
+        merge_pipeline_sections(path, {"worldgen_scale": self.WORLDGEN})
+        return path
+
+    def test_sections_merge_without_clobbering(self, tmp_path):
+        path = self._seeded(tmp_path)
+        merge_pipeline_sections(path, {"serving": {"p50": 1.0}})
+        payload = json.loads(path.read_text())
+        assert payload["stages"] == self.BASE["stages"]
+        assert payload["analysis"] == {"speedup": 3.0}
+        assert payload["serving"] == {"p50": 1.0}
+        assert payload["worldgen_scale"] == self.WORLDGEN
+
+    def test_same_session_base_keeps_other_sections(self, tmp_path):
+        path = self._seeded(tmp_path)
+        merge_pipeline_sections(path, {**self.BASE, "stages": []})
+        payload = json.loads(path.read_text())
+        assert payload["stages"] == []
+        assert payload["analysis"] == {"speedup": 3.0}
+        assert payload["worldgen_scale"] == self.WORLDGEN
+
+    def test_other_session_base_starts_fresh_but_keeps_worldgen_scale(self, tmp_path):
+        path = self._seeded(tmp_path)
+        merge_pipeline_sections(path, {**self.BASE, "scale": 0.002})
+        payload = json.loads(path.read_text())
+        assert payload["scale"] == 0.002
+        assert "analysis" not in payload
+        assert payload["worldgen_scale"] == self.WORLDGEN
+
+    def test_section_update_keeps_the_session(self, tmp_path):
+        path = self._seeded(tmp_path)
+        merge_pipeline_sections(path, {"analysis": {"speedup": 4.0}})
+        payload = json.loads(path.read_text())
+        assert (payload["seed"], payload["scale"]) == (7, 0.01)
+        assert payload["analysis"] == {"speedup": 4.0}

@@ -1,80 +1,25 @@
-"""Columnar agent state and the plan-mode world build."""
+"""Columnar agent state of the world's tick loop."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.simulation import AgentColumns, SimConfig, build_world, plan_world
-
-CONFIG = SimConfig(seed=11, scale=0.002)
+from repro.simulation import AgentColumns, SimConfig, build_world
 
 
 @pytest.fixture(scope="module")
-def plan():
-    return plan_world(CONFIG)
-
-
-class TestPlanWorld:
-    def test_population_matches_config(self, plan):
-        assert plan.agents == CONFIG.n_at_risk
-        assert plan.columns.n == plan.agents
-
-    def test_adoptions_account_for_every_migrant(self, plan):
-        assert plan.migrants == int(plan.columns.migrated.sum())
-        assert int(plan.adoptions_by_tick.sum()) == plan.migrants
-        assert plan.migrants > 0
-
-    def test_instance_population_accounts_for_every_migrant(self, plan):
-        assert int(plan.instance_population.sum()) == plan.migrants
-
-    def test_volumes_are_positive(self, plan):
-        assert plan.tweets_planned > plan.migrants
-        assert plan.statuses_planned > 0
-        assert plan.column_bytes > 0
-
-    def test_plan_is_deterministic(self, plan):
-        again = plan_world(CONFIG)
-        assert again.migrants == plan.migrants
-        assert again.tweets_planned == plan.tweets_planned
-        np.testing.assert_array_equal(
-            again.adoptions_by_tick, plan.adoptions_by_tick
-        )
-        np.testing.assert_array_equal(
-            again.instance_population, plan.instance_population
-        )
-
-    def test_seed_changes_the_outcome(self, plan):
-        other = plan_world(SimConfig(seed=12, scale=0.002))
-        assert not np.array_equal(other.adoptions_by_tick, plan.adoptions_by_tick)
+def world():
+    return build_world(SimConfig(seed=11, scale=0.0002))
 
 
 class TestAgentColumns:
-    def test_csr_edges_are_consistent(self, plan):
-        cols = plan.columns
-        for indptr, indices in (
-            (cols.fwd_indptr, cols.fwd_indices),
-            (cols.rev_indptr, cols.rev_indices),
-        ):
-            assert indptr[0] == 0
-            assert indptr[-1] == len(indices)
-            assert np.all(np.diff(indptr) >= 0)
-            if len(indices):
-                assert indices.min() >= 0
-                assert indices.max() < cols.n
-
-    def test_fraction_migrated_followees_bounded(self, plan):
-        frac = plan.columns.fraction_migrated_followees
+    def test_fraction_migrated_followees_bounded(self, world):
+        frac = world._dynamics_state().fraction_migrated_followees
         assert frac.min() >= 0.0
         assert frac.max() <= 1.0 + 1e-9
+        assert frac.max() > 0.0
 
-    def test_column_bytes_counts_every_array(self, plan):
-        cols = plan.columns
-        floor = cols.uids.nbytes + cols.migrated.nbytes + cols.fwd_indices.nbytes
-        assert cols.column_bytes() >= floor
-
-    def test_from_world_mirrors_object_state(self):
-        world = build_world(SimConfig(seed=11, scale=0.0002))
+    def test_from_world_mirrors_object_state(self, world):
         cols = AgentColumns.from_world(world)
         assert cols.n == len(world.candidate_ids)
         migrated_uids = {a.user_id for a in world.agents.values() if a.migrated}
